@@ -6,6 +6,11 @@ log-space.  Checks fail loudly (no jitter, no automatic regularization):
 silently repairing an indefinite matrix would corrupt the closed forms
 this package exists to validate.
 
+``scipy.linalg`` (``cho_factor``/``cho_solve``) is imported on the first
+factorization, not when this module loads: every ``erfs`` process imports
+this module through :mod:`erfs.fuzzy`, and the scalar paths never factor a
+matrix.
+
 Tolerances (relative):
   * symmetry:            1e-10
   * PSD eigenvalue test: eigenvalues >= -1e-10 * max eigenvalue
@@ -14,14 +19,22 @@ Tolerances (relative):
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NotPositiveDefinite, SingularBlock
 
 SYM_RTOL = 1e-10
 PSD_RTOL = 1e-10
 PD_RTOL = 1e-12
+
+
+@functools.cache
+def _scipy_linalg():
+    import scipy.linalg
+
+    return scipy.linalg
 
 
 def as_matrix(a, name: str) -> np.ndarray:
@@ -61,20 +74,13 @@ def is_pd(a: np.ndarray) -> bool:
     return bool(w[0] > thresh)
 
 
-def require_pd(a: np.ndarray, name: str) -> np.ndarray:
-    a = check_symmetric(as_matrix(a, name), name)
-    if not is_pd(a):
-        raise NotPositiveDefinite(f"{name} is not positive definite")
-    return a
-
-
 class SpdFactor:
     """Cholesky factorization of an SPD matrix with solve and log-determinant."""
 
     def __init__(self, a: np.ndarray, name: str = "matrix"):
         a = check_symmetric(as_matrix(a, name), name)
         try:
-            self._cf = cho_factor(a, lower=True)
+            self._cf = _scipy_linalg().cho_factor(a, lower=True)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises ValueError
             raise NotPositiveDefinite(f"{name} is not positive definite") from exc
         except ValueError as exc:
@@ -86,7 +92,7 @@ class SpdFactor:
         self.n = a.shape[0]
 
     def solve(self, b) -> np.ndarray:
-        return cho_solve(self._cf, np.asarray(b, dtype=float))
+        return _scipy_linalg().cho_solve(self._cf, np.asarray(b, dtype=float))
 
     def inv(self) -> np.ndarray:
         out = self.solve(np.eye(self.n))

@@ -1,41 +1,88 @@
 """Standard-normal kernel shared by every closed form in the package.
 
-``Phi`` is evaluated through the complementary error function (absolute
-error below 1e-15 over the whole real line), not through a series or a
-rational approximation: every belief/plausibility formula in the package
-inherits its accuracy from this one function.
+``Phi`` is evaluated through the complementary error function, not through
+a series or a rational approximation: every belief/plausibility formula in
+the package inherits its accuracy from this one function.  A Python float
+(``np.float64`` included) goes through ``math.erfc`` and comes back as a
+float; anything else goes elementwise through ``scipy.special.ndtr``.  Both
+are within 1e-15 absolute of the exact cdf over the whole real line, and
+they agree with each other to that tolerance, though not always to the
+last bit.  scipy is imported on the first array call, so scalar closed
+forms never load it.
 
 ``phi_over`` generalizes ``Phi((num) / (den))`` to the degenerate scale
 ``den == 0``, where the Gaussian cdf collapses to a unit step (with value
 1/2 exactly at the jump).  This is what the closed forms of possibilistic
 objects (zero mode variance) reduce to, so callers never divide by zero.
+
+The closed forms take a Python float or an array.  ``as_points``,
+``exp``, ``maximum``, ``minimum`` and ``as_output`` let one formula serve
+both: a float stays a float and is computed with ``math``, an array goes
+through numpy.
 """
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.special import ndtr
+import functools
+import math
 
-SQRT_2PI = float(np.sqrt(2.0 * np.pi))
+import numpy as np
+
+SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_2 = math.sqrt(2.0)
+
+
+def is_scalar(x) -> bool:
+    """True for the inputs the closed forms evaluate with ``math``."""
+    return isinstance(x, (float, int))
+
+
+def as_points(x):
+    """A Python float for scalar input, a float ndarray otherwise."""
+    return float(x) if is_scalar(x) else np.asarray(x, dtype=float)
+
+
+def as_output(v):
+    """Arrays pass through; scalars and 0-d arrays come back as floats."""
+    return v if getattr(v, "ndim", 0) else float(v)
+
+
+def exp(v):
+    return math.exp(v) if is_scalar(v) else np.exp(v)
+
+
+def maximum(v, bound: float):
+    return max(v, bound) if is_scalar(v) else np.maximum(v, bound)
+
+
+def minimum(v, bound: float):
+    return min(v, bound) if is_scalar(v) else np.minimum(v, bound)
+
+
+@functools.cache
+def _scipy_special():
+    import scipy.special
+
+    return scipy.special
 
 
 def Phi(z):
     """Standard normal cdf, elementwise."""
-    return ndtr(z)
+    if is_scalar(z):
+        return 0.5 * math.erfc(-z / _SQRT_2)
+    return _scipy_special().ndtr(z)
 
 
 def phi(z):
     """Standard normal pdf, elementwise."""
-    z = np.asarray(z, dtype=float)
-    out = np.exp(-0.5 * z * z) / SQRT_2PI
-    return out if out.ndim else float(out)
+    z = as_points(z)
+    return as_output(exp(-0.5 * z * z) / SQRT_2PI)
 
 
 def step(t):
     """Unit step with value 1/2 at 0: the sigma -> 0 limit of Phi(t/sigma)."""
-    t = np.asarray(t, dtype=float)
-    out = (t > 0).astype(float) + 0.5 * (t == 0)
-    return out if out.ndim else float(out)
+    t = as_points(t)
+    return as_output(np.greater(t, 0.0) + 0.5 * np.equal(t, 0.0))
 
 
 def phi_over(num, den):
@@ -44,6 +91,7 @@ def phi_over(num, den):
     ``den`` must be a nonnegative scalar; ``num`` may be an array.
     """
     if den > 0.0:
-        out = ndtr(np.asarray(num, dtype=float) / den)
-        return out if np.ndim(out) else float(out)
+        if is_scalar(num):
+            return Phi(num / den)
+        return as_output(Phi(np.asarray(num, dtype=float) / den))
     return step(num)

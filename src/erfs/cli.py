@@ -27,7 +27,7 @@ import numpy as np
 
 from . import fuzzy, grfn, grfv, randomset
 from .errors import ContradictoryEvidence, ErfsError
-from .fuzzy import GFN, GFV
+from .fuzzy import GFN, GFV, _require_number
 from .grfn import GRFN
 from .grfv import GRFV
 from .interval import Interval
@@ -63,10 +63,7 @@ def parse_document(d: dict):
     if kind == "grfv":
         return GRFV.from_dict(d)
     if kind == "triangular-gaussian":
-        for field in ("mu", "sigma", "a"):
-            if field not in d:
-                raise ErfsError(f"missing field '{field}'")
-        return TriangularGaussian(float(d["mu"]), float(d["sigma"]), float(d["a"]))
+        return TriangularGaussian(*(_require_number(d, f) for f in ("mu", "sigma", "a")))
     raise ErfsError(f"field 'type' must be one of {_TYPES}, got '{kind}'")
 
 

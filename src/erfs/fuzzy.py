@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._normal import as_output, as_points, exp
 from ._linalg import SpdFactor, check_psd, is_pd, schur_complement_keep_leading
 from .errors import ContradictoryEvidence, DomainError, NotPositiveDefinite
 from .interval import Interval
@@ -62,15 +63,15 @@ class GFN:
 
     def membership(self, x):
         """Degree of membership of ``x``; scalar in, scalar out."""
-        x = np.asarray(x, dtype=float)
+        x = as_points(x)
         if self.precision == 0.0:
             out = np.ones_like(x)
         elif math.isinf(self.precision):
-            out = (x == self.mode).astype(float)
+            out = np.asarray(x == self.mode, dtype=float)
         else:
             d = x - self.mode
-            out = np.exp(-0.5 * self.precision * d * d)
-        return out if out.ndim else float(out)
+            out = exp(-0.5 * self.precision * d * d)
+        return as_output(out)
 
     def alpha_cut(self, alpha: float) -> Interval:
         """The closed set of points with membership at least ``alpha``.

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._normal import Phi, phi_over
+from ._normal import Phi, as_output, as_points, exp, maximum, minimum, phi_over
 from .errors import ContradictoryEvidence, DomainError
 from .fuzzy import GFN, effective_pair_precision, _require_extended, _require_number
 from .interval import Interval
@@ -94,19 +94,20 @@ class GRFN:
         variable (except the degenerate point mass, whose contour is the
         indicator of its atom).
         """
-        x = np.asarray(x, dtype=float)
+        x = as_points(x)
         if self.h == 0.0:
             out = np.ones_like(x)
         elif math.isinf(self.h):
             if self.sigma2 > 0.0:
                 out = np.zeros_like(x)
             else:
-                out = (x == self.mu).astype(float)
+                out = np.asarray(x == self.mu, dtype=float)
         else:
-            c = 1.0 + self.h * self.sigma2
+            # h / (1 + h sigma2) in ratio form: finite even when h sigma2 overflows
+            hc = 1.0 / (1.0 / self.h + self.sigma2)
             d = x - self.mu
-            out = np.exp(-0.5 * self.h * d * d / c) / math.sqrt(c)
-        return out if out.ndim else float(out)
+            out = exp(-0.5 * hc * d * d) / math.sqrt(1.0 + self.h * self.sigma2)
+        return as_output(out)
 
     def bel_pl(self, b: Interval) -> tuple[float, float]:
         """Degrees of belief and plausibility of a bounded interval.
@@ -137,13 +138,16 @@ class GRFN:
             return z, z
         plx = self.contour(x)
         ply = self.contour(y)
-        hs2 = self.h * self.sigma2
-        inner_den = sigma * math.sqrt(hs2 + 1.0)
-        mid = 0.5 * (x + y)
+        # s0^2 and the shrinkage weight h s0^2 in ratio form, so that an
+        # overflowing h sigma2 gives the limits s0 -> 1/sqrt(h), m0 -> anchor
+        v0 = 1.0 / (1.0 / self.sigma2 + self.h) if self.sigma2 > 0.0 else 0.0
+        w = self.h * v0
+        s0 = math.sqrt(v0)
+        mid = 0.5 * x + 0.5 * y
 
         def inner(t, anchor):
-            # Phi((t - m0(anchor)) / s0) without dividing by sigma = 0
-            return phi_over(t * (1.0 + hs2) - anchor * hs2 - self.mu, inner_den)
+            # Phi((t - m0(anchor)) / s0), the unit step when s0 = 0
+            return phi_over(t - (self.mu + (anchor - self.mu) * w), s0)
 
         band = phi_over(y - self.mu, sigma) - phi_over(x - self.mu, sigma)
         bel = band - plx * (inner(mid, x) - inner(x, x)) - ply * (inner(y, y) - inner(mid, y))
@@ -154,25 +158,19 @@ class GRFN:
 
     def cdf_bounds(self, y):
         """Lower and upper cdf at ``y`` (elementwise): Bel and Pl of ``(-inf, y]``."""
-        y = np.asarray(y, dtype=float)
+        y = as_points(y)
         if self.h == 0.0:
             lower, upper = np.zeros_like(y), np.ones_like(y)
         elif math.isinf(self.h):
-            f = phi_over(y - self.mu, math.sqrt(self.sigma2))
-            lower = upper = np.asarray(f, dtype=float)
+            lower = upper = phi_over(y - self.mu, math.sqrt(self.sigma2))
         else:
             sigma = math.sqrt(self.sigma2)
-            ply = np.asarray(self.contour(y), dtype=float)
-            f0 = np.asarray(phi_over(y - self.mu, sigma), dtype=float)
-            f1 = np.asarray(
-                phi_over(y - self.mu, sigma * math.sqrt(self.h * self.sigma2 + 1.0)),
-                dtype=float,
-            )
-            lower = np.maximum(f0 - ply * f1, 0.0)
-            upper = np.minimum(f0 + ply * (1.0 - f1), 1.0)
-        if lower.ndim:
-            return lower, upper
-        return float(lower), float(upper)
+            ply = self.contour(y)
+            f0 = phi_over(y - self.mu, sigma)
+            f1 = phi_over(y - self.mu, sigma * math.sqrt(self.h * self.sigma2 + 1.0))
+            lower = maximum(f0 - ply * f1, 0.0)
+            upper = minimum(f0 + ply * (1.0 - f1), 1.0)
+        return as_output(lower), as_output(upper)
 
     def expectation_bounds(self) -> tuple[float, float]:
         """Lower and upper expectations ``mu -+ sqrt(pi / (2h))``; needs ``h > 0``."""
@@ -279,6 +277,19 @@ def log_one_minus_kappa(g1: GRFN, g2: GRFN) -> float:
     return -0.5 * math.log(c) - 0.5 * hbar * d * d / c
 
 
+def conflict_degree(log1mk: float) -> float:
+    """``kappa = 1 - exp(log1mk)``, the conflict policy of every combination.
+
+    Raises :class:`ContradictoryEvidence` when ``1 - kappa`` is below
+    ``_CONFLICT_EPS`` (1e-15): the evidence is totally conflicting.
+    """
+    if log1mk <= math.log(_CONFLICT_EPS):
+        raise ContradictoryEvidence(
+            f"degree of conflict rounds to 1 (log(1 - kappa) = {log1mk:.3g})"
+        )
+    return min(max(-math.expm1(log1mk), 0.0), 1.0)
+
+
 def combine(g1: GRFN, g2: GRFN) -> GrfnFusion:
     """Generalized product-intersection combination of two independent GRFNs.
 
@@ -314,13 +325,7 @@ def combine(g1: GRFN, g2: GRFN) -> GrfnFusion:
         combined = GRFN(inter.mu1, inter.var1, math.inf)
         return GrfnFusion(combined, 1.0, inter)
 
-    log1mk = log_one_minus_kappa(g1, g2)
-    if log1mk <= math.log(_CONFLICT_EPS):
-        raise ContradictoryEvidence(
-            f"degree of conflict rounds to 1 (log(1 - kappa) = {log1mk:.3g})"
-        )
-    kappa = -math.expm1(log1mk)
-    kappa = min(max(kappa, 0.0), 1.0)
+    kappa = conflict_degree(log_one_minus_kappa(g1, g2))
 
     if math.isinf(h1):
         combined = GRFN(inter.mu1, inter.var1, math.inf)

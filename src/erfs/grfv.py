@@ -14,7 +14,6 @@ Combination requires positive definite ``Sigma`` and ``H`` on both sides
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,11 +25,11 @@ from ._linalg import (
     is_pd,
     schur_complement_keep_leading,
 )
-from .errors import ContradictoryEvidence, DomainError, NotPositiveDefinite
+from .errors import DomainError, NotPositiveDefinite
+from .grfn import conflict_degree
 
 __all__ = ["GRFV", "GrfvFusion", "GrfvIntermediates", "combine"]
 
-_CONFLICT_EPS = 1e-15
 _DIAG_RTOL = 1e-12
 
 
@@ -224,11 +223,7 @@ def combine(g1: GRFV, g2: GRFV) -> GrfvFusion:
         + float(g2.mu @ (s2inv @ g2.mu))
         - float(mu_tilde @ b)
     )
-    if log1mk <= math.log(_CONFLICT_EPS):
-        raise ContradictoryEvidence(
-            f"degree of conflict rounds to 1 (log(1 - kappa) = {log1mk:.3g})"
-        )
-    kappa = min(max(-math.expm1(log1mk), 0.0), 1.0)
+    kappa = conflict_degree(log1mk)
 
     h12 = g1.H + g2.H
     a = SpdFactor(h12, "H1 + H2").solve(np.hstack([g1.H, g2.H]))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._normal import Phi, phi
+from ._normal import Phi, as_output, as_points, maximum, minimum, phi
 from .errors import DomainError, PracticalRejection
 from .fuzzy import effective_pair_precision
 from .grfn import GRFN
@@ -514,11 +514,10 @@ def triangular_gaussian_cdf_bounds(mu, sigma, a, x):
         raise DomainError("sigma must be positive")
     if a < 0.0:
         raise DomainError("a must be nonnegative")
-    x = np.asarray(x, dtype=float)
+    x = as_points(x)
     z0 = (x - mu) / sigma
     if a == 0.0:
-        out = Phi(z0)
-        lower = upper = out if out.ndim else float(out)
+        lower = upper = as_output(Phi(z0))
         return lower, upper
     z_plus = (x + a - mu) / sigma
     z_minus = (x - a - mu) / sigma
@@ -532,11 +531,8 @@ def triangular_gaussian_cdf_bounds(mu, sigma, a, x):
         - ((x - a - mu) / a) * Phi(z_minus)
         + (sigma / a) * (phi(z0) - phi(z_minus))
     )
-    lower = np.clip(lower, 0.0, 1.0)
-    upper = np.clip(upper, 0.0, 1.0)
-    if lower.ndim:
-        return lower, upper
-    return float(lower), float(upper)
+    lower, upper = (as_output(minimum(maximum(v, 0.0), 1.0)) for v in (lower, upper))
+    return lower, upper
 
 
 def triangular_gaussian_contour(mu, sigma, a, x):
@@ -545,17 +541,15 @@ def triangular_gaussian_contour(mu, sigma, a, x):
         raise DomainError("sigma must be positive")
     if a < 0.0:
         raise DomainError("a must be nonnegative")
-    x = np.asarray(x, dtype=float)
+    x = as_points(x)
     if a == 0.0:
-        out = np.zeros_like(x)
-        return out if out.ndim else float(out)
+        return as_output(np.zeros_like(x))
     z_minus = (x - a - mu) / sigma
     z0 = (x - mu) / sigma
     z_plus = (x + a - mu) / sigma
     left = (mu - x + a) * (Phi(z0) - Phi(z_minus)) + sigma * (phi(z_minus) - phi(z0))
     right = (x + a - mu) * (Phi(z_plus) - Phi(z0)) - sigma * (phi(z0) - phi(z_plus))
-    out = np.clip((left + right) / a, 0.0, 1.0)
-    return out if out.ndim else float(out)
+    return as_output(minimum(maximum((left + right) / a, 0.0), 1.0))
 
 
 def triangular_gaussian_expectation_bounds(mu, a):

@@ -249,3 +249,38 @@ class TestValidation:
         ))
         assert main(["eval", "-", "--at", "0"]) == 0
         assert float(capsys.readouterr().out.strip().split(",")[1]) == 1.0
+
+    def test_null_field_is_a_validation_error(self, tmp_path, capsys):
+        doc = write_doc(tmp_path, "tg.json",
+                        {"type": "triangular-gaussian", "mu": None, "sigma": 1, "a": 1})
+        assert main(["eval", doc, "--at", "0"]) == 2
+        assert "'mu'" in capsys.readouterr().err
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise AssertionError(f"non-finite JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestOverflowingPrecisionTimesVariance:
+    """``h * sigma2`` overflows: the CLI prints finite JSON and exits 0."""
+
+    @pytest.fixture()
+    def doc(self, tmp_path):
+        return write_doc(tmp_path, "big.json",
+                         {"type": "grfn", "mu": 1e308, "sigma2": 1e308, "h": 1e308})
+
+    def test_belpl(self, doc, capsys):
+        assert main(["belpl", doc, "--lo", "-1", "--hi", "1"]) == 0
+        assert _strict_json(capsys.readouterr().out) == {"bel": 0.0, "pl": 0.0}
+
+    def test_cdf_at_zero(self, doc, capsys):
+        assert main(["cdf", doc, "--at", "0"]) == 0
+        out = _strict_json(capsys.readouterr().out)
+        assert (out["lower"], out["upper"]) == (0.0, 0.0)
+
+    def test_eval(self, doc, capsys):
+        assert main(["eval", doc, "--at", "0"]) == 0
+        assert capsys.readouterr().out.strip() == "0,0"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from erfs.errors import ContradictoryEvidence, DomainError
+from erfs.errors import ContradictoryEvidence, DomainError, ErfsError
 from erfs.fuzzy import GFN, possibility_necessity, product
 from erfs.grfn import (
     GRFN,
@@ -389,3 +389,93 @@ class TestJson:
     def test_errors_name_fields(self):
         with pytest.raises(DomainError, match="sigma2"):
             GRFN.from_dict({"mu": 0.0, "h": 1.0})
+
+
+# parameter extremes: h in {0, tiny, huge, inf}, sigma2 in {0, tiny, huge}
+extreme_h = st.sampled_from([0.0, 5e-324, 1e-300, 1e-3, 1.0, 1e300, 1e308, math.inf])
+extreme_s2 = st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 1.0, 1e300, 1e308])
+extreme_mu = st.sampled_from([0.0, -2.5, 1e10, -1e308, 1e308])
+points = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+def _outcome(fn):
+    """The result of ``fn()``, or the type of the erfs error it raises."""
+    try:
+        return fn()
+    except ErfsError as exc:
+        return type(exc)
+
+
+class TestScalarArrayAgreement:
+    """A float goes through ``math``, an array through numpy/``ndtr``: one
+    formula, so the two paths agree to rounding."""
+
+    @given(mu=extreme_mu, s2=extreme_s2, h=extreme_h, x=points)
+    @settings(max_examples=400, deadline=None)
+    def test_contour_and_cdf_bounds(self, mu, s2, h, x):
+        g = _outcome(lambda: GRFN(mu, s2, h))
+        if isinstance(g, type):
+            return
+        scalar = _outcome(lambda: (g.contour(x), *g.cdf_bounds(x)))
+        array = _outcome(lambda: (g.contour(np.array([x]))[0],
+                                  *(v[0] for v in g.cdf_bounds(np.array([x])))))
+        if isinstance(scalar, type) or isinstance(array, type):
+            assert scalar == array
+            return
+        assert all(type(v) is float and math.isfinite(v) for v in scalar)
+        assert np.max(np.abs(np.subtract(scalar, array))) <= 1e-15
+        contour, lower, upper = scalar
+        assert 0.0 <= contour <= 1.0
+        assert 0.0 <= lower <= upper <= 1.0
+
+    @given(mu=extreme_mu, s2=extreme_s2, h=extreme_h, x=points,
+           w=st.floats(min_value=0.0, max_value=1e6))
+    @settings(max_examples=400, deadline=None)
+    def test_bel_pl_finite_and_ordered(self, mu, s2, h, x, w):
+        g = GRFN(mu, s2, h)
+        bel, pl = g.bel_pl(Interval(x, x + w))
+        assert type(bel) is float and type(pl) is float
+        assert 0.0 <= bel <= pl <= 1.0
+        assert (bel, pl) == g.bel_pl(Interval(np.float64(x), np.float64(x + w)))
+
+    def test_float64_inputs_return_python_floats(self):
+        g = GRFN(0.3, 1.2, 0.8)
+        x = np.float64(0.7)
+        assert type(g.contour(x)) is float
+        assert all(type(v) is float for v in g.cdf_bounds(x))
+        assert all(type(v) is float for v in g.bel_pl(Interval(x, x + 1.0)))
+        assert g.contour(x) == g.contour(0.7)
+        assert g.cdf_bounds(x) == g.cdf_bounds(0.7)
+
+    def test_zero_dim_array_returns_floats(self):
+        g = GRFN(0.3, 1.2, 0.8)
+        assert type(g.contour(np.asarray(0.7))) is float
+        assert all(type(v) is float for v in g.cdf_bounds(np.asarray(0.7)))
+
+
+class TestOverflowingPrecisionTimesVariance:
+    """``h * sigma2`` overflows to inf: the answers stay finite and correct."""
+
+    g = GRFN(1e308, 1e308, 1e308)
+
+    def test_float_path(self):
+        assert self.g.contour(0.0) == 0.0
+        assert self.g.cdf_bounds(0.0) == (0.0, 0.0)
+        assert self.g.bel_pl(Interval(-1.0, 1.0)) == (0.0, 0.0)
+
+    def test_array_path(self):
+        xs = np.array([-1e300, 0.0, 1e308])
+        assert np.all(np.isfinite(self.g.contour(xs)))
+        lower, upper = self.g.cdf_bounds(xs)
+        assert np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))
+        assert_allclose(lower, [0.0, 0.0, 0.5], atol=1e-15)
+        assert_allclose(upper, [0.0, 0.0, 0.5], atol=1e-15)
+
+    def test_bel_pl_takes_the_limit_not_the_overflow(self):
+        # h sigma2 = 1e310 overflows, yet s0 = 1/sqrt(h) = 1e-5 is ordinary:
+        # bel_pl is continuous in sigma2 across the overflow
+        b = Interval(-2e-5, 3e-5)
+        big = GRFN(0.0, 1e300, 1e10).bel_pl(b)
+        near = GRFN(0.0, 1e298, 1e10).bel_pl(b)
+        assert all(math.isfinite(v) for v in big)
+        assert big == pytest.approx(near, abs=1e-12)
