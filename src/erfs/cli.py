@@ -1,14 +1,17 @@
 """Command-line front end.
 
-Evidence documents are JSON objects with a ``type`` discriminator
-(``gfn``, ``gfv``, ``grfn``, ``grfv``, ``triangular-gaussian``) whose
-remaining fields follow the owning module's schema.  Documents are read
-from files or stdin (``-``); results go to stdout as JSON for point
-queries and as plain CSV ('.' decimal, no locale) for grids.
+Evidence documents are JSON objects whose ``type`` (``gfn``, ``gfv``,
+``grfn``, ``grfv``, ``triangular-gaussian``) names the model that parses
+the remaining fields.  Documents are read from files or stdin (``-``);
+results go to stdout as JSON for point queries and as plain CSV ('.'
+decimal, no locale) for grids.  Each query calls one model method
+(``contour``, ``cdf_bounds``, ``expectation_bounds``); ``cdf``, ``expect``
+and ``plotdata`` read a GFN as the GRFN with zero mode variance.
 
 Grids are written ``start:stop:step``; the stop value is included when it
-falls on the grid (within half a step).  ``ERFS_SEED`` overrides
-``--seed`` for the Monte-Carlo commands.
+falls on the grid (within half a step).  Grid parts and ``--at`` values
+must be finite.  ``ERFS_SEED`` overrides ``--seed`` for the Monte-Carlo
+commands.
 
 Exit codes: 0 success, 1 fully conflicting evidence, 2 argument or
 validation errors, 3 Monte-Carlo cross-check failure.
@@ -21,31 +24,20 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import fuzzy, grfn, grfv, randomset
 from .errors import ContradictoryEvidence, ErfsError
-from .fuzzy import GFN, GFV, _require_number
-from .grfn import GRFN
+from .fuzzy import GFN, GFV
+from .grfn import GRFN, TriangularGaussian
 from .grfv import GRFV
 from .interval import Interval
 
-
-@dataclass(frozen=True)
-class TriangularGaussian:
-    """Triangular fuzzy number with Gaussian random mode (closed-form model)."""
-
-    mu: float
-    sigma: float
-    a: float
-
-    def to_dict(self) -> dict:
-        return {"mu": self.mu, "sigma": self.sigma, "a": self.a}
-
-
-_TYPES = ("gfn", "gfv", "grfn", "grfv", "triangular-gaussian")
+# document ``type`` -> model; each model has ``from_dict`` and ``to_dict``
+_TYPES = {"gfn": GFN, "gfv": GFV, "grfn": GRFN, "grfv": GRFV,
+          "triangular-gaussian": TriangularGaussian}
+_KINDS = {model: kind for kind, model in _TYPES.items()}
 
 
 def parse_document(d: dict):
@@ -54,31 +46,14 @@ def parse_document(d: dict):
     kind = d.get("type")
     if kind is None:
         raise ErfsError("missing field 'type'")
-    if kind == "gfn":
-        return GFN.from_dict(d)
-    if kind == "gfv":
-        return GFV.from_dict(d)
-    if kind == "grfn":
-        return GRFN.from_dict(d)
-    if kind == "grfv":
-        return GRFV.from_dict(d)
-    if kind == "triangular-gaussian":
-        return TriangularGaussian(*(_require_number(d, f) for f in ("mu", "sigma", "a")))
-    raise ErfsError(f"field 'type' must be one of {_TYPES}, got '{kind}'")
+    model = _TYPES.get(kind) if isinstance(kind, str) else None
+    if model is None:
+        raise ErfsError(f"field 'type' must be one of {tuple(_TYPES)}, got '{kind}'")
+    return model.from_dict(d)
 
 
 def document_to_dict(obj) -> dict:
-    if isinstance(obj, GFN):
-        return {"type": "gfn", **obj.to_dict()}
-    if isinstance(obj, GFV):
-        return {"type": "gfv", **obj.to_dict()}
-    if isinstance(obj, GRFN):
-        return {"type": "grfn", **obj.to_dict()}
-    if isinstance(obj, GRFV):
-        return {"type": "grfv", **obj.to_dict()}
-    if isinstance(obj, TriangularGaussian):
-        return {"type": "triangular-gaussian", **obj.to_dict()}
-    raise ErfsError(f"cannot serialize object of type {type(obj).__name__}")
+    return {"type": _KINDS[type(obj)], **obj.to_dict()}
 
 
 def load_document(path: str):
@@ -105,10 +80,6 @@ def _inline_document(args):
         v = getattr(args, field, None)
         if v is not None:
             d[field] = math.inf if v == "inf" else float(v)
-    if "h" in d and math.isinf(d["h"]):
-        d["h"] = "inf"
-    if "precision" in d and isinstance(d["precision"], float) and math.isinf(d["precision"]):
-        d["precision"] = "inf"
     return parse_document(d)
 
 
@@ -128,7 +99,7 @@ def parse_grid(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ErfsError(f"field 'grid' must be start:stop:step, got '{text}'")
     try:
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (_finite(p, "--grid") for p in parts)
     except ValueError as exc:
         raise ErfsError(f"field 'grid' has non-numeric parts: '{text}'") from exc
     if step <= 0.0 or stop < start:
@@ -148,7 +119,13 @@ def _mc_config(args) -> randomset.MCConfig:
 
 
 def _print_json(obj) -> None:
-    print(json.dumps(obj))
+    print(json.dumps(obj, allow_nan=False))
+
+
+def _print_csv(header: str, *columns) -> None:
+    print(header)
+    for row in zip(*(np.atleast_1d(c) for c in columns)):
+        print(",".join(f"{v:.12g}" for v in row))
 
 
 # ---------------------------------------------------------------------------
@@ -157,18 +134,9 @@ def _print_json(obj) -> None:
 
 def _cmd_eval(args) -> int:
     doc = _resolve_document(args)
-    xs = _points(args)
-    for x in xs:
-        if isinstance(doc, GFN):
-            v = doc.membership(float(x))
-        elif isinstance(doc, GRFN):
-            v = doc.contour(float(x))
-        elif isinstance(doc, TriangularGaussian):
-            v = randomset.triangular_gaussian_contour(doc.mu, doc.sigma, doc.a, float(x))
-        elif isinstance(doc, GFV):
-            v = doc.membership(_vector(x, doc.dim))
-        else:
-            v = doc.contour(_vector(x, doc.dim))
+    vector = isinstance(doc, (GFV, GRFV))
+    for x in _points(args):
+        v = doc.contour(_vector(x, doc.dim) if vector else _finite(x))
         label = x if isinstance(x, str) else f"{float(x):.12g}"
         print(f"{label},{v:.12g}")
     return 0
@@ -184,9 +152,16 @@ def _points(args):
     return args.at
 
 
+def _finite(text, flag: str = "--at") -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ErfsError(f"{flag} must be finite, got '{text}'")
+    return x
+
+
 def _vector(text, dim: int) -> np.ndarray:
     try:
-        v = np.array([float(p) for p in str(text).split(",")])
+        v = np.array([_finite(p) for p in str(text).split(",")])
     except ValueError as exc:
         raise ErfsError(f"point '{text}' is not a comma-separated vector") from exc
     if v.shape[0] != dim:
@@ -195,29 +170,33 @@ def _vector(text, dim: int) -> np.ndarray:
 
 
 def _lift_grfn(doc):
-    if isinstance(doc, GFN):
-        return GRFN(doc.mode, 0.0, doc.precision)
+    """A GFN as the GRFN with zero mode variance; any other document as is."""
+    return GRFN(doc.mode, 0.0, doc.precision) if isinstance(doc, GFN) else doc
+
+
+def _closed_form(doc, what: str):
+    """The document as a model with ``cdf_bounds`` and ``expectation_bounds``."""
+    doc = _lift_grfn(doc)
+    if not isinstance(doc, (GRFN, TriangularGaussian)):
+        raise ErfsError(f"no closed-form {what} for type '{type(doc).__name__}'")
     return doc
 
 
 def _combine_pair(a, b):
     """Combine two documents; returns (combined document, kappa)."""
-    if isinstance(a, GFN) and isinstance(b, GFN):
+    if type(a) is type(b) and isinstance(a, (GFN, GFV)):
         r = fuzzy.product(a, b)
         return r.product, 1.0 - r.height
-    if isinstance(a, (GFN, GRFN)) and isinstance(b, (GFN, GRFN)):
+    if {type(a), type(b)} <= {GFN, GRFN}:
         f = grfn.combine(_lift_grfn(a), _lift_grfn(b))
-        return f.combined, f.kappa
-    if isinstance(a, GFV) and isinstance(b, GFV):
-        r = fuzzy.product(a, b)
-        return r.product, 1.0 - r.height
-    if isinstance(a, GRFV) and isinstance(b, GRFV):
+    elif type(a) is type(b) is GRFV:
         f = grfv.combine(a, b)
-        return f.combined, f.kappa
-    raise ErfsError(
-        f"cannot combine documents of types "
-        f"'{type(a).__name__}' and '{type(b).__name__}'"
-    )
+    else:
+        raise ErfsError(
+            f"cannot combine documents of types "
+            f"'{type(a).__name__}' and '{type(b).__name__}'"
+        )
+    return f.combined, f.kappa
 
 
 def _cmd_combine(args) -> int:
@@ -236,56 +215,34 @@ def _cmd_belpl(args) -> int:
     doc = _resolve_document(args)
     b = Interval(args.lo, args.hi)
     if isinstance(doc, GFN):
-        pi, n = fuzzy.possibility_necessity(doc, b)
-        _print_json({"bel": n, "pl": pi})
+        pl, bel = fuzzy.possibility_necessity(doc, b)
     elif isinstance(doc, GRFN):
         bel, pl = doc.bel_pl(b)
-        _print_json({"bel": bel, "pl": pl})
     else:
         raise ErfsError(
             f"no closed-form interval query for type '{type(doc).__name__}'; "
             "vector set queries are Monte-Carlo only"
         )
+    _print_json({"bel": bel, "pl": pl})
     return 0
 
 
-def _as_cdf_provider(doc):
-    if isinstance(doc, GFN):
-        doc = _lift_grfn(doc)
-    if isinstance(doc, GRFN):
-        return lambda y: doc.cdf_bounds(y)
-    if isinstance(doc, TriangularGaussian):
-        return lambda y: randomset.triangular_gaussian_cdf_bounds(doc.mu, doc.sigma, doc.a, y)
-    raise ErfsError(f"no closed-form cdf for type '{type(doc).__name__}'")
-
-
 def _cmd_cdf(args) -> int:
-    doc = _resolve_document(args)
-    bounds = _as_cdf_provider(doc)
+    doc = _closed_form(_resolve_document(args), "cdf")
     if args.grid is not None:
         xs = parse_grid(args.grid)
-        lower, upper = bounds(xs)
-        print("x,lower,upper")
-        for x, lo, up in zip(xs, np.atleast_1d(lower), np.atleast_1d(upper)):
-            print(f"{x:.12g},{lo:.12g},{up:.12g}")
+        _print_csv("x,lower,upper", xs, *doc.cdf_bounds(xs))
     else:
         if args.at is None:
             raise ErfsError("missing query point: use --at or --grid")
-        lower, upper = bounds(float(args.at))
-        _print_json({"y": float(args.at), "lower": lower, "upper": upper})
+        y = _finite(args.at)
+        lower, upper = doc.cdf_bounds(y)
+        _print_json({"y": y, "lower": lower, "upper": upper})
     return 0
 
 
 def _cmd_expect(args) -> int:
-    doc = _resolve_document(args)
-    if isinstance(doc, GFN):
-        doc = _lift_grfn(doc)
-    if isinstance(doc, GRFN):
-        lo, hi = doc.expectation_bounds()
-    elif isinstance(doc, TriangularGaussian):
-        lo, hi = randomset.triangular_gaussian_expectation_bounds(doc.mu, doc.a)
-    else:
-        raise ErfsError(f"no closed-form expectations for type '{type(doc).__name__}'")
+    lo, hi = _closed_form(_resolve_document(args), "expectations").expectation_bounds()
     _print_json({"lower": lo, "upper": hi})
     return 0
 
@@ -324,17 +281,8 @@ def _cmd_plotdata(args) -> int:
     if args.grid is None:
         raise ErfsError("missing --grid for plotdata")
     xs = parse_grid(args.grid)
-    bounds = _as_cdf_provider(doc)
-    lower, upper = bounds(xs)
-    if isinstance(doc, TriangularGaussian):
-        contour = randomset.triangular_gaussian_contour(doc.mu, doc.sigma, doc.a, xs)
-    elif isinstance(doc, GFN):
-        contour = doc.membership(xs)
-    else:
-        contour = doc.contour(xs)
-    print("x,lower,upper,contour")
-    for x, lo, up, c in zip(xs, np.atleast_1d(lower), np.atleast_1d(upper), np.atleast_1d(contour)):
-        print(f"{x:.12g},{lo:.12g},{up:.12g},{c:.12g}")
+    lower, upper = _closed_form(doc, "cdf").cdf_bounds(xs)
+    _print_csv("x,lower,upper,contour", xs, lower, upper, doc.contour(xs))
     return 0
 
 
@@ -342,9 +290,8 @@ def _cmd_plotdata(args) -> int:
 # argument parsing
 
 
-def _add_document_args(p: argparse.ArgumentParser, positional: bool = True):
-    if positional:
-        p.add_argument("document", nargs="?", help="evidence document file or '-' for stdin")
+def _add_document_args(p: argparse.ArgumentParser):
+    p.add_argument("document", nargs="?", help="evidence document file or '-' for stdin")
     p.add_argument("--type", choices=_TYPES, help="inline document type")
     p.add_argument("--mode", type=float, help="gfn mode")
     p.add_argument("--precision", help="gfn precision (number or 'inf')")
@@ -417,15 +364,9 @@ def _merge_dash_values(argv):
     """Join ``--grid -4:4:0.01`` style pairs so argparse does not read the
     value (which starts with '-') as an option string."""
     merged = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok in ("--grid", "--at") and i + 1 < len(argv) and argv[i + 1].startswith("-") \
-                and argv[i + 1] != "-":
-            merged.append(f"{tok}={argv[i + 1]}")
-            skip = True
+    for tok in argv:
+        if merged and merged[-1] in ("--grid", "--at") and tok.startswith("-") and tok != "-":
+            merged[-1] += f"={tok}"
         else:
             merged.append(tok)
     return merged

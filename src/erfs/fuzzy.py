@@ -73,6 +73,8 @@ class GFN:
             out = exp(-0.5 * self.precision * d * d)
         return as_output(out)
 
+    contour = membership  # the contour function of a fuzzy set is its membership
+
     def alpha_cut(self, alpha: float) -> Interval:
         """The closed set of points with membership at least ``alpha``.
 
@@ -131,6 +133,8 @@ class GFV:
             return float(np.exp(-0.5 * d @ self.precision @ d))
         q = np.einsum("ij,jk,ik->i", d, self.precision, d)
         return np.exp(-0.5 * q)
+
+    contour = membership
 
     def project(self, keep: int) -> "GFV":
         """Project onto the leading ``keep`` coordinates (sup over the rest)."""

@@ -13,6 +13,9 @@ All queries (contour, interval belief/plausibility, cdf and expectation
 bounds) have closed forms in the standard normal cdf, and two numbers
 combine by the generalized product-intersection rule into another GRFN
 with an explicit degree of conflict.
+
+``TriangularGaussian``, a triangular fuzzy number with a Gaussian random
+mode, answers the same queries in closed form.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._normal import Phi, as_output, as_points, exp, maximum, minimum, phi_over
+from . import fuzzy
+from ._normal import Phi, as_output, as_points, exp, maximum, minimum, phi, phi_over
 from .errors import ContradictoryEvidence, DomainError
 from .fuzzy import GFN, effective_pair_precision, _require_extended, _require_number
 from .interval import Interval
@@ -34,6 +38,7 @@ __all__ = [
     "GrfnKind",
     "GrfnFusion",
     "LemmaIntermediates",
+    "TriangularGaussian",
     "combine",
     "combine_many",
     "linear_combination",
@@ -165,11 +170,16 @@ class GRFN:
             lower = upper = phi_over(y - self.mu, math.sqrt(self.sigma2))
         else:
             sigma = math.sqrt(self.sigma2)
-            ply = self.contour(y)
             f0 = phi_over(y - self.mu, sigma)
-            f1 = phi_over(y - self.mu, sigma * math.sqrt(self.h * self.sigma2 + 1.0))
-            lower = maximum(f0 - ply * f1, 0.0)
-            upper = minimum(f0 + ply * (1.0 - f1), 1.0)
+            s1 = sigma * math.sqrt(self.h * self.sigma2 + 1.0)
+            if math.isinf(s1):
+                # h sigma2 overflows, so the contour term is 0 (and y - mu may too)
+                lower = upper = f0
+            else:
+                ply = self.contour(y)
+                f1 = phi_over(y - self.mu, s1)
+                lower = maximum(f0 - ply * f1, 0.0)
+                upper = minimum(f0 + ply * (1.0 - f1), 1.0)
         return as_output(lower), as_output(upper)
 
     def expectation_bounds(self) -> tuple[float, float]:
@@ -195,6 +205,79 @@ class GRFN:
             _require_number(d, "sigma2"),
             _require_extended(d, "h"),
         )
+
+
+@dataclass(frozen=True)
+class TriangularGaussian:
+    """Triangular fuzzy number of half-width ``a`` whose mode is ``N(mu, sigma^2)``.
+
+    The closed forms integrate over the Gaussian mode; ``a = 0`` is the
+    random variable ``N(mu, sigma^2)``.  Requires ``mu`` finite,
+    ``0 < sigma < inf`` and ``0 <= a < inf``.
+    """
+
+    mu: float
+    sigma: float
+    a: float
+
+    def __post_init__(self):
+        mu, sigma, a = float(self.mu), float(self.sigma), float(self.a)
+        if not math.isfinite(mu):
+            raise DomainError("mu must be finite")
+        if not sigma > 0.0:
+            raise DomainError("sigma must be positive")
+        if not a >= 0.0:
+            raise DomainError("a must be nonnegative")
+        if math.isinf(sigma) or math.isinf(a):
+            raise DomainError(f"sigma and a must be finite, got sigma={sigma}, a={a}")
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "a", a)
+
+    def contour(self, x):
+        """Pointwise plausibility: the mean realized membership at ``x``."""
+        x = as_points(x)
+        mu, sigma, a = self.mu, self.sigma, self.a
+        if a == 0.0:
+            return as_output(np.zeros_like(x))
+        z_minus = (x - a - mu) / sigma
+        z0 = (x - mu) / sigma
+        z_plus = (x + a - mu) / sigma
+        left = (mu - x + a) * (Phi(z0) - Phi(z_minus)) + sigma * (phi(z_minus) - phi(z0))
+        right = (x + a - mu) * (Phi(z_plus) - Phi(z0)) - sigma * (phi(z0) - phi(z_plus))
+        return as_output(minimum(maximum((left + right) / a, 0.0), 1.0))
+
+    def cdf_bounds(self, y):
+        """Lower and upper cdf at ``y`` (elementwise): Bel and Pl of ``(-inf, y]``."""
+        x = as_points(y)
+        mu, sigma, a = self.mu, self.sigma, self.a
+        z0 = (x - mu) / sigma
+        if a == 0.0:
+            return (as_output(Phi(z0)),) * 2
+        z_plus = (x + a - mu) / sigma
+        z_minus = (x - a - mu) / sigma
+        upper = (
+            ((x + a - mu) / a) * Phi(z_plus)
+            - ((x - mu) / a) * Phi(z0)
+            + (sigma / a) * (phi(z_plus) - phi(z0))
+        )
+        lower = (
+            ((x - mu) / a) * Phi(z0)
+            - ((x - a - mu) / a) * Phi(z_minus)
+            + (sigma / a) * (phi(z0) - phi(z_minus))
+        )
+        return tuple(as_output(minimum(maximum(v, 0.0), 1.0)) for v in (lower, upper))
+
+    def expectation_bounds(self) -> tuple[float, float]:
+        """Lower and upper expectations ``mu -+ a/2``."""
+        return self.mu - 0.5 * self.a, self.mu + 0.5 * self.a
+
+    def to_dict(self) -> dict:
+        return {"mu": self.mu, "sigma": self.sigma, "a": self.a}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "TriangularGaussian":
+        return cls(*(_require_number(d, f) for f in ("mu", "sigma", "a")))
 
 
 def vacuous() -> GRFN:
@@ -363,19 +446,9 @@ def linear_combination(terms) -> GRFN:
     ``h = (sum |lam_i| h_i^{-1/2})^{-2}``.  Every ``h_i`` must be finite
     and positive.
     """
-    terms = list(terms)
-    if not terms:
-        raise DomainError("linear_combination requires a nonempty list of terms")
-    mu = 0.0
+    terms = [(float(lam), g) for lam, g in terms]
+    modes = fuzzy.linear_combination((lam, GFN(g.mu, g.h)) for lam, g in terms)
     var = 0.0
-    spread = 0.0
     for lam, g in terms:
-        lam = float(lam)
-        if lam == 0.0:
-            raise DomainError("coefficients must be nonzero")
-        if not 0.0 < g.h < math.inf:
-            raise DomainError(f"term precision must be in (0, +inf), got {g.h}")
-        mu += lam * g.mu
         var += lam * lam * g.sigma2
-        spread += abs(lam) / math.sqrt(g.h)
-    return GRFN(mu, var, spread ** -2)
+    return GRFN(modes.mode, var, modes.precision)

@@ -26,6 +26,7 @@ from ._linalg import (
     schur_complement_keep_leading,
 )
 from .errors import DomainError, NotPositiveDefinite
+from .fuzzy import _check_perm
 from .grfn import conflict_degree
 
 __all__ = ["GRFV", "GrfvFusion", "GrfvIntermediates", "combine"]
@@ -113,9 +114,7 @@ class GRFV:
         return _is_diagonal(self.Sigma) and _is_diagonal(self.H)
 
     def permute(self, perm) -> "GRFV":
-        perm = np.asarray(perm, dtype=int)
-        if sorted(perm.tolist()) != list(range(self.dim)):
-            raise DomainError(f"not a permutation of 0..{self.dim - 1}: {perm.tolist()}")
+        perm = _check_perm(perm, self.dim)
         ix = np.ix_(perm, perm)
         return GRFV(self.mu[perm], self.Sigma[ix], self.H[ix])
 

@@ -28,10 +28,6 @@ class Interval:
         object.__setattr__(self, "hi", hi)
 
     @property
-    def is_whole_line(self) -> bool:
-        return math.isinf(self.lo) and self.lo < 0 and math.isinf(self.hi) and self.hi > 0
-
-    @property
     def is_bounded(self) -> bool:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
 

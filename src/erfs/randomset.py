@@ -5,7 +5,8 @@ Every closed form in :mod:`erfs.fuzzy`, :mod:`erfs.grfn` and
 never touches the formula under test: belief and plausibility are averages
 of alpha-cut events, contours are averages of realized memberships,
 conflicts are one minus average pair heights, and the combination rule's
-parameters are weighted moments of a soft-conditioned sample.
+parameters are weighted moments of a soft-conditioned sample.  The closed
+forms themselves live with their model types.
 
 Randomness contract
 -------------------
@@ -28,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._normal import Phi, as_output, as_points, maximum, minimum, phi
+from ._normal import Phi
 from .errors import DomainError, PracticalRejection
 from .fuzzy import effective_pair_precision
-from .grfn import GRFN
+from .grfn import GRFN, TriangularGaussian, combine
 from .interval import Interval
 
 __all__ = [
@@ -158,7 +159,6 @@ class GrfnSampler(FuzzySampler):
 
     def __init__(self, g: GRFN):
         self.g = g
-        self.gfn_precision = g.h
 
     def realize(self, rng, n):
         if self.g.sigma2 > 0.0:
@@ -216,8 +216,6 @@ class TriangularGaussianSampler(FuzzySampler):
 
 class _IntervalSampler(FuzzySampler):
     """Random closed intervals seen as crisp random fuzzy numbers."""
-
-    is_crisp_interval = True
 
     def n_realized(self, state) -> int:
         return state[0].shape[0]
@@ -359,15 +357,15 @@ def mc_expectation_bounds(sampler: FuzzySampler, cfg: MCConfig) -> tuple[MCEstim
 
 
 def _pair_heights(s1, s2, st1, st2) -> np.ndarray:
-    if hasattr(s1, "gfn_precision") and hasattr(s2, "gfn_precision"):
-        hbar = effective_pair_precision(s1.gfn_precision, s2.gfn_precision)
+    if isinstance(s1, GrfnSampler) and isinstance(s2, GrfnSampler):
+        hbar = effective_pair_precision(s1.g.h, s2.g.h)
         d = st1 - st2
         if hbar == 0.0:
             return np.ones_like(d)
         if math.isinf(hbar):
             return (d == 0.0).astype(float)
         return np.exp(-0.5 * hbar * d * d)
-    if getattr(s1, "is_crisp_interval", False) and getattr(s2, "is_crisp_interval", False):
+    if isinstance(s1, _IntervalSampler) and isinstance(s2, _IntervalSampler):
         lo1, hi1 = st1
         lo2, hi2 = st2
         return ((lo1 <= hi2) & (lo2 <= hi1)).astype(float)
@@ -504,59 +502,15 @@ def dempster_gaussian_rays(mu1, sigma1, mu2, sigma2, cfg: MCConfig):
 
 
 def triangular_gaussian_cdf_bounds(mu, sigma, a, x):
-    """Lower and upper cdf of the triangular random fuzzy number, elementwise.
-
-    Closed forms obtained by integrating the necessity/possibility of
-    ``(-inf, x]`` over the Gaussian mode; at ``a = 0`` both collapse to the
-    Gaussian cdf.
-    """
-    if sigma <= 0.0:
-        raise DomainError("sigma must be positive")
-    if a < 0.0:
-        raise DomainError("a must be nonnegative")
-    x = as_points(x)
-    z0 = (x - mu) / sigma
-    if a == 0.0:
-        lower = upper = as_output(Phi(z0))
-        return lower, upper
-    z_plus = (x + a - mu) / sigma
-    z_minus = (x - a - mu) / sigma
-    upper = (
-        ((x + a - mu) / a) * Phi(z_plus)
-        - ((x - mu) / a) * Phi(z0)
-        + (sigma / a) * (phi(z_plus) - phi(z0))
-    )
-    lower = (
-        ((x - mu) / a) * Phi(z0)
-        - ((x - a - mu) / a) * Phi(z_minus)
-        + (sigma / a) * (phi(z0) - phi(z_minus))
-    )
-    lower, upper = (as_output(minimum(maximum(v, 0.0), 1.0)) for v in (lower, upper))
-    return lower, upper
+    return TriangularGaussian(mu, sigma, a).cdf_bounds(x)
 
 
 def triangular_gaussian_contour(mu, sigma, a, x):
-    """Pointwise plausibility of the triangular random fuzzy number."""
-    if sigma <= 0.0:
-        raise DomainError("sigma must be positive")
-    if a < 0.0:
-        raise DomainError("a must be nonnegative")
-    x = as_points(x)
-    if a == 0.0:
-        return as_output(np.zeros_like(x))
-    z_minus = (x - a - mu) / sigma
-    z0 = (x - mu) / sigma
-    z_plus = (x + a - mu) / sigma
-    left = (mu - x + a) * (Phi(z0) - Phi(z_minus)) + sigma * (phi(z_minus) - phi(z0))
-    right = (x + a - mu) * (Phi(z_plus) - Phi(z0)) - sigma * (phi(z0) - phi(z_plus))
-    return as_output(minimum(maximum((left + right) / a, 0.0), 1.0))
+    return TriangularGaussian(mu, sigma, a).contour(x)
 
 
 def triangular_gaussian_expectation_bounds(mu, a):
-    """Lower and upper expectations ``mu -+ a/2`` of the triangular model."""
-    if a < 0.0:
-        raise DomainError("a must be nonnegative")
-    return mu - 0.5 * a, mu + 0.5 * a
+    return TriangularGaussian(mu, 1.0, a).expectation_bounds()  # sigma does not enter
 
 
 def oracle_suite(cfg: MCConfig):
@@ -567,8 +521,6 @@ def oracle_suite(cfg: MCConfig):
     estimate.  The battery is fixed, so for a fixed config the outcome is
     reproducible.
     """
-    from . import grfn as grfn_mod
-
     checks: list[tuple[str, float, MCEstimate]] = []
 
     g = GRFN(0.3, 1.2, 0.8)
@@ -592,7 +544,7 @@ def oracle_suite(cfg: MCConfig):
     checks.append(("grfn upper expectation", e_high, mc_ehigh))
 
     ga, gb = GRFN(0.0, 1.0, 1.0), GRFN(0.5, 0.5, 2.0)
-    fusion = grfn_mod.combine(ga, gb)
+    fusion = combine(ga, gb)
     checks.append(
         ("grfn conflict", fusion.kappa, mc_conflict(GrfnSampler(ga), GrfnSampler(gb), cfg))
     )
@@ -609,13 +561,14 @@ def oracle_suite(cfg: MCConfig):
     pl_closed = float(Phi(x - 0.0) * (1.0 - Phi(x - 1.0)) / (1.0 - kappa))
     checks.append(("gaussian rays combined contour", pl_closed, mc_contour(combined, x, cfg)))
 
+    model = TriangularGaussian(0.0, 1.0, 1.5)
     tri = TriangularGaussianSampler(0.0, 1.0, 1.5)
     for x in (-1.0, 0.0, 1.0):
-        bel_c, pl_c = triangular_gaussian_cdf_bounds(0.0, 1.0, 1.5, x)
+        bel_c, pl_c = model.cdf_bounds(x)
         mc_bel, mc_pl = mc_bel_pl(tri, Interval(-math.inf, x), cfg)
         checks.append((f"triangular lower cdf x={x}", bel_c, mc_bel))
         checks.append((f"triangular upper cdf x={x}", pl_c, mc_pl))
-    e_low, e_high = triangular_gaussian_expectation_bounds(0.0, 1.5)
+    e_low, e_high = model.expectation_bounds()
     mc_elow, mc_ehigh = mc_expectation_bounds(tri, cfg)
     checks.append(("triangular lower expectation", e_low, mc_elow))
     checks.append(("triangular upper expectation", e_high, mc_ehigh))

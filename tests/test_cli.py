@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from erfs import randomset
 from erfs.cli import main, parse_grid
 from erfs.errors import ErfsError
+from erfs.grfn import GRFN
 from erfs.randomset import MCEstimate, triangular_gaussian_cdf_bounds
 
 
@@ -284,3 +286,111 @@ class TestOverflowingPrecisionTimesVariance:
     def test_eval(self, doc, capsys):
         assert main(["eval", doc, "--at", "0"]) == 0
         assert capsys.readouterr().out.strip() == "0,0"
+
+
+_MATRIX_DOCS = {
+    "gfn": ({"type": "gfn", "mode": 0.0, "precision": 0.3}, "0.5"),
+    "gfv": ({"type": "gfv", "mode": [0.0, 0.0], "precision": [[1.0, 0.0], [0.0, 1.0]]}, "0.5,0"),
+    "grfn": ({"type": "grfn", "mu": 0.0, "sigma2": 1.0, "h": 1.0}, "0.5"),
+    "grfv": ({"type": "grfv", "mu": [0.0, 0.0], "Sigma": [[1.0, 0.0], [0.0, 1.0]],
+              "H": [[1.0, 0.0], [0.0, 1.0]]}, "0.5,0"),
+    "triangular-gaussian": ({"type": "triangular-gaussian", "mu": 0.0, "sigma": 1.0, "a": 1.5}, "0.5"),
+}
+
+_MATRIX_COMMANDS = {
+    "eval": lambda doc, at: ["eval", doc, "--at", at],
+    "cdf --at": lambda doc, at: ["cdf", doc, "--at", "0.5"],
+    "cdf --grid": lambda doc, at: ["cdf", doc, "--grid", "-2:2:0.5"],
+    "expect": lambda doc, at: ["expect", doc],
+    "belpl": lambda doc, at: ["belpl", doc, "--lo", "-1", "--hi", "1"],
+    "plotdata": lambda doc, at: ["plotdata", doc, "--grid", "-2:2:0.5"],
+    "combine": lambda doc, at: ["combine", doc, doc],
+    "conflict": lambda doc, at: ["conflict", doc, doc],
+}
+
+# the document types each subcommand accepts (README, "Command line")
+_ACCEPTS = {
+    "eval": {"gfn", "gfv", "grfn", "grfv", "triangular-gaussian"},
+    "cdf --at": {"gfn", "grfn", "triangular-gaussian"},
+    "cdf --grid": {"gfn", "grfn", "triangular-gaussian"},
+    "expect": {"gfn", "grfn", "triangular-gaussian"},
+    "belpl": {"gfn", "grfn"},
+    "plotdata": {"gfn", "grfn", "triangular-gaussian"},
+    "combine": {"gfn", "gfv", "grfn", "grfv"},
+    "conflict": {"gfn", "gfv", "grfn", "grfv"},
+}
+
+_INVALID_DOCS = {
+    "negative sigma": '{"type": "triangular-gaussian", "mu": 0, "sigma": -1, "a": 1.5}',
+    "NaN mu": '{"type": "triangular-gaussian", "mu": NaN, "sigma": 1, "a": 1.5}',
+    "overflowing a": '{"type": "triangular-gaussian", "mu": 0, "sigma": 1, "a": 1e999}',
+    "list type": '{"type": [], "mu": 0, "sigma": 1, "a": 1.5}',
+}
+
+_NON_FINITE_TOKEN = re.compile(r"\b(nan|NaN|Infinity)\b|(?<!\")\binf\b")
+
+
+def _run(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestDispatchMatrix:
+    """Every document type under every query subcommand: a finite answer or
+    a typed error, never NaN with exit 0, never a traceback."""
+
+    @pytest.mark.parametrize("command", sorted(_MATRIX_COMMANDS))
+    @pytest.mark.parametrize("kind", sorted(_MATRIX_DOCS))
+    def test_valid_documents(self, kind, command, tmp_path, capsys):
+        payload, at = _MATRIX_DOCS[kind]
+        doc = write_doc(tmp_path, "doc.json", payload)
+        code, out, err = _run(_MATRIX_COMMANDS[command](doc, at), capsys)
+        if kind in _ACCEPTS[command]:
+            assert code == 0, err
+            assert out and not _NON_FINITE_TOKEN.search(out)
+        else:
+            assert code == 2
+            assert out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("command", sorted(_MATRIX_COMMANDS))
+    @pytest.mark.parametrize("case", sorted(_INVALID_DOCS))
+    def test_invalid_documents_exit_two(self, case, command, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(_INVALID_DOCS[case])
+        code, out, err = _run(_MATRIX_COMMANDS[command](str(p), "0.5"), capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
+
+class TestNonFiniteQueryPoints:
+    @pytest.mark.parametrize("command", [
+        "eval --at nan", "eval --at 0 --at inf", "cdf --at nan", "cdf --at inf",
+        "cdf --at -inf", "cdf --grid 0:inf:1", "cdf --grid nan:1:1", "eval --grid 0:1:inf",
+        "plotdata --grid -inf:1:1",
+    ])
+    def test_scalar_documents(self, command, tmp_path, capsys):
+        doc = write_doc(tmp_path, "g.json", {"type": "grfn", "mu": 0.0, "sigma2": 1.0, "h": 1.0})
+        name, *rest = command.split()
+        code, out, err = _run([name, doc, *rest], capsys)
+        assert code == 2
+        assert err.startswith("error:") and rest[-2] in err
+        assert not _NON_FINITE_TOKEN.search(out)
+
+    def test_vector_point(self, tmp_path, capsys):
+        doc = write_doc(tmp_path, "v.json", _MATRIX_DOCS["grfv"][0])
+        code, _, err = _run(["eval", doc, "--at", "nan,0"], capsys)
+        assert code == 2 and err.startswith("error:") and "--at" in err
+
+
+def test_json_output_rejects_non_finite_values(monkeypatch, capsys):
+    monkeypatch.setattr(GRFN, "expectation_bounds", lambda self: (math.nan, math.inf))
+    code, out, err = _run(["expect", "--type", "grfn", "--mu", "0", "--sigma2", "1", "--h", "1"],
+                          capsys)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_cdf_when_precision_times_variance_and_offset_overflow(tmp_path, capsys):
+    doc = write_doc(tmp_path, "big.json", {"type": "grfn", "mu": 1e308, "sigma2": 1e308, "h": 1e308})
+    assert main(["cdf", doc, "--at", "-1e308"]) == 0
+    assert _strict_json(capsys.readouterr().out) == {"y": -1e308, "lower": 0.0, "upper": 0.0}

@@ -14,6 +14,7 @@ from erfs.fuzzy import GFN, possibility_necessity, product
 from erfs.grfn import (
     GRFN,
     GrfnKind,
+    TriangularGaussian,
     combine,
     combine_many,
     linear_combination,
@@ -479,3 +480,46 @@ class TestOverflowingPrecisionTimesVariance:
         near = GRFN(0.0, 1e298, 1e10).bel_pl(b)
         assert all(math.isfinite(v) for v in big)
         assert big == pytest.approx(near, abs=1e-12)
+
+
+class TestCdfBoundsWhenTheOffsetOverflowsToo:
+    """``h * sigma2`` and ``y - mu`` both overflow: the limit, not ``0 * NaN``."""
+
+    g = GRFN(1e308, 1e308, 1e308)
+
+    def test_float_path(self):
+        assert self.g.cdf_bounds(-1e308) == (0.0, 0.0)
+        assert self.g.cdf_bounds(1e308) == (0.5, 0.5)
+
+    def test_array_path(self):
+        lower, upper = self.g.cdf_bounds(np.array([-1e308, -1e300, 0.0, 1e308]))
+        np.testing.assert_array_equal(lower, [0.0, 0.0, 0.0, 0.5])
+        np.testing.assert_array_equal(upper, [0.0, 0.0, 0.0, 0.5])
+
+
+class TestTriangularGaussian:
+    def test_validated_when_built(self):
+        for args, message in [((0.0, -1.0, 1.0), "sigma must be positive"),
+                              ((0.0, 0.0, 1.0), "sigma must be positive"),
+                              ((0.0, math.nan, 1.0), "sigma must be positive"),
+                              ((0.0, 1.0, -1.0), "a must be nonnegative"),
+                              ((0.0, 1.0, math.nan), "a must be nonnegative"),
+                              ((math.nan, 1.0, 1.0), "mu must be finite"),
+                              ((math.inf, 1.0, 1.0), "mu must be finite"),
+                              ((0.0, math.inf, 1.0), "must be finite"),
+                              ((0.0, 1.0, math.inf), "must be finite")]:
+            with pytest.raises(DomainError, match=message):
+                TriangularGaussian(*args)
+
+    def test_zero_halfwidth_is_the_random_variable(self):
+        t = TriangularGaussian(0.2, 0.7, 0.0)
+        assert t.contour(0.2) == 0.0
+        lower, upper = t.cdf_bounds(0.9)
+        assert lower == upper == GRFN(0.2, 0.49, math.inf).cdf_bounds(0.9)[0]
+        assert t.expectation_bounds() == (0.2, 0.2)
+
+    def test_dict_round_trip(self):
+        t = TriangularGaussian(0.5, 1.2, 0.8)
+        assert TriangularGaussian.from_dict(t.to_dict()) == t
+        with pytest.raises(DomainError, match="'a'"):
+            TriangularGaussian.from_dict({"mu": 0.0, "sigma": 1.0, "a": None})
