@@ -3,7 +3,8 @@
 GRFV(mu, Sigma, H) carries a Gaussian random mode vector and a precision
 matrix.  Combination, marginalization and vacuous extension all have
 closed forms; noninteractive (diagonal) vectors factor into independent
-one-dimensional pieces.
+one-dimensional pieces, and a vacuous extension lets evidence about some
+coordinates fuse with evidence about all of them.
 """
 
 import numpy as np
@@ -51,3 +52,12 @@ print("  Sigma:\n", ext.Sigma)
 print("  H (zero block = no constraint on the new coordinate):\n", ext.H)
 back = ext.marginalize(1)
 print("  marginalizing back recovers:", back.mu, back.Sigma.ravel(), back.H.ravel())
+
+print("\n== evidence on different coordinates fuses through vacuous extension ==")
+first_only = GRFV([0.0], [[1.0]], [[1.0]]).vacuous_extend(1)
+both = GRFV([0.0, 0.0], np.eye(2), np.eye(2))
+f = combine(first_only, both)
+scalar = combine_1d(GRFN(0.0, 1.0, 1.0), GRFN(0.0, 1.0, 1.0))
+print("  kappa:", f"{f.kappa:.6f}", " scalar kappa on coordinate 1:", f"{scalar.kappa:.6f}")
+print("  combined H:\n", f.combined.H)
+print("  combined Sigma (coordinate 2 keeps the second source's law):\n", f.combined.Sigma)

@@ -6,10 +6,12 @@ log-space.  Checks fail loudly (no jitter, no automatic regularization):
 silently repairing an indefinite matrix would corrupt the closed forms
 this package exists to validate.
 
-``scipy.linalg`` (``cho_factor``/``cho_solve``) is imported on the first
-factorization, not when this module loads: every ``erfs`` process imports
-this module through :mod:`erfs.fuzzy`, and the scalar paths never factor a
-matrix.
+All dense linear algebra runs on numpy (``np.linalg``), never on
+``scipy.linalg``.  numpy and scipy wheels each bundle their own OpenBLAS
+with its own thread pool, and a process that alternates between the two
+has both pools competing for the same cores: small numpy solves run many
+times slower right after a large scipy factorization.  One BLAS keeps one
+pool.
 
 Tolerances (relative):
   * symmetry:            1e-10
@@ -18,8 +20,6 @@ Tolerances (relative):
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -30,33 +30,47 @@ PSD_RTOL = 1e-10
 PD_RTOL = 1e-12
 
 
-@functools.cache
-def _scipy_linalg():
-    import scipy.linalg
-
-    return scipy.linalg
-
-
 def as_matrix(a, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotPositiveDefinite(f"{name} must be a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NotPositiveDefinite(f"{name} contains non-finite entries")
     return a
 
 
 def check_symmetric(a: np.ndarray, name: str) -> np.ndarray:
-    scale = max(np.max(np.abs(a)), 1.0)
-    if np.max(np.abs(a - a.T)) > SYM_RTOL * scale:
+    scale = max(np.abs(a).max(), 1.0)
+    if np.abs(a - a.T).max() > SYM_RTOL * scale:
         raise NotPositiveDefinite(f"{name} is not symmetric to relative tolerance {SYM_RTOL}")
     # symmetrize exactly so downstream factorizations see a symmetric matrix
     return 0.5 * (a + a.T)
 
 
+def _cholesky(a: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of a finite symmetric ``a``, or None when ``a`` is
+    not numerically positive definite.  A factor that numpy returns has a
+    finite, positive diagonal: an overflow or a nonpositive pivot anywhere
+    reaches a later pivot as NaN or a negative number, and LAPACK stops."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def check_psd(a: np.ndarray, name: str) -> np.ndarray:
-    """Validate symmetry and numerical positive semidefiniteness."""
+    """Validate symmetry and numerical positive semidefiniteness.
+
+    The rule is "smallest eigenvalue >= -1e-10 * largest".  A Cholesky
+    factorization that succeeds in floating point proves the smallest
+    eigenvalue is at least about ``-n * eps * max|a_ii|``, far inside that
+    tolerance, so the eigendecomposition runs only when Cholesky fails
+    (singular or indefinite input) and decides those cases exactly as
+    before.
+    """
     a = check_symmetric(as_matrix(a, name), name)
+    if _cholesky(a) is not None:
+        return a
     w = np.linalg.eigvalsh(a)
     w_max = max(w[-1], 0.0)
     if w[0] < -PSD_RTOL * max(w_max, 1e-300):
@@ -75,24 +89,21 @@ def is_pd(a: np.ndarray) -> bool:
 
 
 class SpdFactor:
-    """Cholesky factorization of an SPD matrix with solve and log-determinant."""
+    """Cholesky factorization ``a = L L^T`` of an SPD matrix, with solve and
+    log-determinant.  Raises :class:`NotPositiveDefinite` when it fails."""
 
     def __init__(self, a: np.ndarray, name: str = "matrix"):
         a = check_symmetric(as_matrix(a, name), name)
-        try:
-            self._cf = _scipy_linalg().cho_factor(a, lower=True)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises ValueError
-            raise NotPositiveDefinite(f"{name} is not positive definite") from exc
-        except ValueError as exc:
-            raise NotPositiveDefinite(f"{name} is not positive definite") from exc
-        diag = np.diag(self._cf[0])
-        if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
+        lower = _cholesky(a)
+        if lower is None:
             raise NotPositiveDefinite(f"{name} is not positive definite")
-        self._logdet = 2.0 * float(np.sum(np.log(diag)))
+        self._a = a
+        self.L = lower
+        self._logdet = 2.0 * float(np.log(lower.diagonal()).sum())
         self.n = a.shape[0]
 
     def solve(self, b) -> np.ndarray:
-        return _scipy_linalg().cho_solve(self._cf, np.asarray(b, dtype=float))
+        return np.linalg.solve(self._a, np.asarray(b, dtype=float))
 
     def inv(self) -> np.ndarray:
         out = self.solve(np.eye(self.n))

@@ -59,6 +59,34 @@ def minimum(v, bound: float):
     return min(v, bound) if is_scalar(v) else np.minimum(v, bound)
 
 
+def where_nan(v, fill):
+    """``v`` with its NaN entries replaced by ``fill`` (a float, or an
+    array shaped like ``v``)."""
+    if is_scalar(v):
+        return fill if v != v else v
+    return np.where(np.isnan(v), fill, v)
+
+
+def quiet_on_arrays(method):
+    """Run ``method(self, x)`` on an array ``x`` under
+    ``np.errstate(over="ignore", invalid="ignore")``.
+
+    The closed forms take the finite limit where an intermediate such as
+    ``x - mu`` overflows, but numpy would still print a ``RuntimeWarning``
+    for the overflow (and for the ``inf * 0`` it leaves behind).  Python
+    float arithmetic never warns, so a float ``x`` goes straight through.
+    """
+
+    @functools.wraps(method)
+    def quiet(self, x):
+        if is_scalar(x):
+            return method(self, x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return method(self, x)
+
+    return quiet
+
+
 @functools.cache
 def _scipy_special():
     import scipy.special

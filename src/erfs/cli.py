@@ -360,12 +360,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_DASH_VALUE_FLAGS = ("--grid", "--at", "--lo", "--hi")
+
+
 def _merge_dash_values(argv):
-    """Join ``--grid -4:4:0.01`` style pairs so argparse does not read the
-    value (which starts with '-') as an option string."""
+    """Join ``--grid -4:4:0.01`` and ``--lo -inf`` style pairs so argparse
+    does not read the value (which starts with '-') as an option string."""
     merged = []
     for tok in argv:
-        if merged and merged[-1] in ("--grid", "--at") and tok.startswith("-") and tok != "-":
+        if merged and merged[-1] in _DASH_VALUE_FLAGS and tok.startswith("-") and tok != "-":
             merged[-1] += f"={tok}"
         else:
             merged.append(tok)

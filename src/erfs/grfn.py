@@ -28,7 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fuzzy
-from ._normal import Phi, as_output, as_points, exp, maximum, minimum, phi, phi_over
+from ._normal import (Phi, as_output, as_points, exp, maximum, minimum, phi, phi_over,
+                      quiet_on_arrays, where_nan)
 from .errors import ContradictoryEvidence, DomainError
 from .fuzzy import GFN, effective_pair_precision, _require_extended, _require_number
 from .interval import Interval
@@ -91,6 +92,7 @@ class GRFN:
     def is_vacuous(self) -> bool:
         return self.h == 0.0
 
+    @quiet_on_arrays
     def contour(self, x):
         """Pointwise plausibility ``pl(x)``.
 
@@ -144,8 +146,13 @@ class GRFN:
         plx = self.contour(x)
         ply = self.contour(y)
         # s0^2 and the shrinkage weight h s0^2 in ratio form, so that an
-        # overflowing h sigma2 gives the limits s0 -> 1/sqrt(h), m0 -> anchor
-        v0 = 1.0 / (1.0 / self.sigma2 + self.h) if self.sigma2 > 0.0 else 0.0
+        # overflowing h sigma2 gives the limits s0 -> 1/sqrt(h), m0 -> anchor;
+        # a sigma2 so small that 1/sigma2 overflows has h sigma2 < 1 instead
+        inv_s2 = 1.0 / self.sigma2 if self.sigma2 > 0.0 else math.inf
+        if inv_s2 < math.inf:
+            v0 = 1.0 / (inv_s2 + self.h)
+        else:
+            v0 = self.sigma2 / (1.0 + self.h * self.sigma2)
         w = self.h * v0
         s0 = math.sqrt(v0)
         mid = 0.5 * x + 0.5 * y
@@ -161,6 +168,7 @@ class GRFN:
         bel = min(max(bel, 0.0), pl)
         return bel, pl
 
+    @quiet_on_arrays
     def cdf_bounds(self, y):
         """Lower and upper cdf at ``y`` (elementwise): Bel and Pl of ``(-inf, y]``."""
         y = as_points(y)
@@ -234,6 +242,7 @@ class TriangularGaussian:
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "a", a)
 
+    @quiet_on_arrays
     def contour(self, x):
         """Pointwise plausibility: the mean realized membership at ``x``."""
         x = as_points(x)
@@ -245,28 +254,35 @@ class TriangularGaussian:
         z_plus = (x + a - mu) / sigma
         left = (mu - x + a) * (Phi(z0) - Phi(z_minus)) + sigma * (phi(z_minus) - phi(z0))
         right = (x + a - mu) * (Phi(z_plus) - Phi(z0)) - sigma * (phi(z0) - phi(z_plus))
-        return as_output(minimum(maximum((left + right) / a, 0.0), 1.0))
+        # NaN only from an overflowing x -+ a - mu (inf * 0): the limit there is 0
+        return as_output(minimum(maximum(where_nan((left + right) / a, 0.0), 0.0), 1.0))
 
+    @quiet_on_arrays
     def cdf_bounds(self, y):
         """Lower and upper cdf at ``y`` (elementwise): Bel and Pl of ``(-inf, y]``."""
         x = as_points(y)
         mu, sigma, a = self.mu, self.sigma, self.a
         z0 = (x - mu) / sigma
+        p0 = Phi(z0)
         if a == 0.0:
-            return (as_output(Phi(z0)),) * 2
+            return (as_output(p0),) * 2
         z_plus = (x + a - mu) / sigma
         z_minus = (x - a - mu) / sigma
         upper = (
             ((x + a - mu) / a) * Phi(z_plus)
-            - ((x - mu) / a) * Phi(z0)
+            - ((x - mu) / a) * p0
             + (sigma / a) * (phi(z_plus) - phi(z0))
         )
         lower = (
-            ((x - mu) / a) * Phi(z0)
+            ((x - mu) / a) * p0
             - ((x - a - mu) / a) * Phi(z_minus)
             + (sigma / a) * (phi(z0) - phi(z_minus))
         )
-        return tuple(as_output(minimum(maximum(v, 0.0), 1.0)) for v in (lower, upper))
+        # NaN only where x -+ a - mu, or its ratio to a or sigma, overflows
+        # (inf * 0, inf - inf); both bounds then round to their limit Phi(z0)
+        return tuple(
+            as_output(minimum(maximum(where_nan(v, p0), 0.0), 1.0)) for v in (lower, upper)
+        )
 
     def expectation_bounds(self) -> tuple[float, float]:
         """Lower and upper expectations ``mu -+ a/2``."""

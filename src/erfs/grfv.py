@@ -1,15 +1,21 @@
 """Gaussian random fuzzy vectors: the p-dimensional evidence model.
 
 ``GRFV(mu, Sigma, H)`` is a Gaussian fuzzy vector with precision matrix
-``H`` whose mode is a Gaussian random vector ``N(mu, Sigma)``.  Everything
-runs on the SPD kernel in :mod:`erfs._linalg`: Cholesky solves and
-factor-diagonal log-determinants, so the conflict's determinant ratio is
-formed in log-space and the 2p x 2p conditioning system is solved directly
-rather than through explicit inverses.
+``H`` whose mode is a Gaussian random vector ``N(mu, Sigma)``.  Both
+matrices need only be positive semidefinite: a zero block of ``H`` is a
+vacuous extension (nothing asserted about those coordinates), a zero
+``Sigma`` a possibilistic vector.
 
-Combination requires positive definite ``Sigma`` and ``H`` on both sides
-(the conditioning integral needs densities); the possibilistic
-``Sigma = 0`` limit is available in one dimension through :mod:`erfs.grfn`.
+:func:`combine` and :meth:`GRFV.contour` run on the SPD kernel in
+:mod:`erfs._linalg` in information form: p x p Cholesky factors,
+factor-diagonal log-determinants and solves, with no eigendecomposition
+and no explicit inverse.  The conflict is formed in log-space.
+
+Contract:
+  * :func:`combine` needs ``H1 + H2`` and ``Sigma1 + Sigma2`` positive
+    definite, so a vacuous extension fuses with evidence on the missing
+    coordinates;
+  * :meth:`GRFV.contour` needs ``H`` positive definite.
 """
 
 from __future__ import annotations
@@ -22,10 +28,10 @@ import numpy as np
 from ._linalg import (
     SpdFactor,
     check_psd,
-    is_pd,
+    is_pd,  # noqa: F401 - unused here; perfbench's traced run patches erfs.grfv.is_pd
     schur_complement_keep_leading,
 )
-from .errors import DomainError, NotPositiveDefinite
+from .errors import DomainError
 from .fuzzy import _check_perm
 from .grfn import conflict_degree
 
@@ -61,19 +67,20 @@ class GRFV:
 
     def contour(self, x):
         """Pointwise plausibility: ``|I + Sigma H|^{-1/2} exp(-q/2)`` with
-        ``q = (x - mu)^T (H^{-1} + Sigma)^{-1} (x - mu)``.  Needs PD ``H``."""
-        if not is_pd(self.H):
-            raise NotPositiveDefinite("contour requires a positive definite H")
-        hf = SpdFactor(self.H, "H")
-        w = hf.inv() + self.Sigma
-        wf = SpdFactor(w, "H^-1 + Sigma")
-        # |I + Sigma H| = |H^-1 + Sigma| |H|
-        log_norm = -0.5 * (wf.logdet + hf.logdet)
+        ``q = (x - mu)^T (H^{-1} + Sigma)^{-1} (x - mu)``.  Needs PD ``H``.
+
+        With ``H = L L^T`` and ``M = I + L^T Sigma L``,
+        ``|I + Sigma H| = |M|`` and ``q = (L^T d)^T M^{-1} (L^T d)``.
+        """
+        lower = SpdFactor(self.H, "H").L
+        mf = SpdFactor(np.eye(self.dim) + lower.T @ self.Sigma @ lower, "I + L^T Sigma L")
+        log_norm = -0.5 * mf.logdet
         x = np.asarray(x, dtype=float)
         d = x - self.mu
         if d.ndim == 1:
-            return float(np.exp(log_norm - 0.5 * wf.quad_form(d)))
-        q = np.einsum("ij,ji->i", d, wf.solve(d.T))
+            return float(np.exp(log_norm - 0.5 * mf.quad_form(lower.T @ d)))
+        z = d @ lower
+        q = np.einsum("ij,ji->i", z, mf.solve(z.T))
         return np.exp(log_norm - 0.5 * q)
 
     def marginalize(self, keep: int) -> "GRFV":
@@ -174,58 +181,55 @@ class GrfvFusion:
 def combine(g1: GRFV, g2: GRFV) -> GrfvFusion:
     """Generalized product-intersection combination of two independent GRFVs.
 
-    All four matrices must be positive definite.  The joint mode law
-    conditioned on pair consistency is Gaussian with precision
+    ``H1 + H2`` and ``Sigma1 + Sigma2`` must be positive definite.  The
+    combined vector has precision ``H1 + H2``.  A pair of modes
+    ``(M1, M2)`` is consistent with height ``exp(-D^T Hbar D / 2)``,
+    ``D = M1 - M2``, where
 
-        K = [[Sigma1^-1 + Hbar, -Hbar], [-Hbar, Sigma2^-1 + Hbar]],
+        Hbar = H1 (H1 + H2)^-1 H2
 
-    ``Hbar = (H1^-1 + H2^-1)^-1``; its mean solves ``K mu~ = (Sigma1^-1 mu1,
-    Sigma2^-1 mu2)``.  The combined vector is the image of that law under
-    the precision-weighted averaging map ``A = (H1 + H2)^-1 [H1 H2]``, and
+    is the matrix parallel sum (``(H1^-1 + H2^-1)^-1`` when both are PD,
+    0 when either is 0).  With ``S = Sigma1 + Sigma2 = R R^T``,
+    ``N = I + R^T Hbar R``, ``d = mu1 - mu2`` and
+    ``G = (Hbar^-1 + S)^-1 = Hbar - Hbar R N^-1 R^T Hbar``,
 
-        1 - kappa = sqrt(|Sigma~| / (|Sigma1| |Sigma2|))
-                    exp(-(q1 + q2 - q~) / 2)
+        log(1 - kappa) = -1/2 log|N| - 1/2 d^T G d.
 
-    is evaluated fully in log-space from Cholesky log-determinants.
+    The joint mode law conditioned on consistency has mean
+    ``[mu1 - Sigma1 G d; mu2 + Sigma2 G d]`` and covariance
+    ``diag(Sigma1, Sigma2) - [Sigma1; -Sigma2] G [Sigma1, -Sigma2]``; the
+    combined mode law is its image under the precision-weighted averaging
+    map ``A = (H1 + H2)^-1 [H1 H2]``.  The conflict is decided before any
+    mode-law work, so a rejected fusion stops there.
     """
     if g1.dim != g2.dim:
         raise DomainError(f"dimension mismatch: {g1.dim} vs {g2.dim}")
     p = g1.dim
-    for name, mat in (
-        ("H1", g1.H), ("H2", g2.H), ("Sigma1", g1.Sigma), ("Sigma2", g2.Sigma),
-    ):
-        if not is_pd(mat):
-            raise NotPositiveDefinite(f"{name} must be positive definite")
-
-    h1f = SpdFactor(g1.H, "H1")
-    h2f = SpdFactor(g2.H, "H2")
-    hbar = SpdFactor(h1f.inv() + h2f.inv(), "H1^-1 + H2^-1").inv()
-
-    s1f = SpdFactor(g1.Sigma, "Sigma1")
-    s2f = SpdFactor(g2.Sigma, "Sigma2")
-    s1inv = s1f.inv()
-    s2inv = s2f.inv()
-
-    k = np.zeros((2 * p, 2 * p))
-    k[:p, :p] = s1inv + hbar
-    k[:p, p:] = -hbar
-    k[p:, :p] = -hbar
-    k[p:, p:] = s2inv + hbar
-    kf = SpdFactor(k, "conditioned joint precision")
-
-    b = np.concatenate([s1inv @ g1.mu, s2inv @ g2.mu])
-    mu_tilde = kf.solve(b)
-    sigma_tilde = kf.inv()
-
-    log1mk = 0.5 * (-kf.logdet - s1f.logdet - s2f.logdet) - 0.5 * (
-        float(g1.mu @ (s1inv @ g1.mu))
-        + float(g2.mu @ (s2inv @ g2.mu))
-        - float(mu_tilde @ b)
-    )
-    kappa = conflict_degree(log1mk)
-
     h12 = g1.H + g2.H
-    a = SpdFactor(h12, "H1 + H2").solve(np.hstack([g1.H, g2.H]))
+    h12f = SpdFactor(h12, "H1 + H2")
+    a2 = h12f.solve(g2.H)
+    hbar = g1.H @ a2
+    hbar = 0.5 * (hbar + hbar.T)
+
+    s1, s2 = g1.Sigma, g2.Sigma
+    r = SpdFactor(s1 + s2, "Sigma1 + Sigma2").L
+    t = r.T @ hbar
+    nf = SpdFactor(np.eye(p) + t @ r, "I + R^T Hbar R")
+    d = g1.mu - g2.mu
+    # d^T G d without forming G: a rejected fusion stops after one vector solve
+    kappa = conflict_degree(-0.5 * nf.logdet - 0.5 * (float(d @ hbar @ d) - nf.quad_form(t @ d)))
+
+    g = hbar - t.T @ nf.solve(t)
+    g = 0.5 * (g + g.T)
+    gd = g @ d
+    a = np.hstack([h12f.solve(g1.H), a2])
+    mu_tilde = np.concatenate([g1.mu - s1 @ gd, g2.mu + s2 @ gd])
+    c = np.vstack([s1, -s2])
+    sigma_tilde = -(c @ g @ c.T)
+    sigma_tilde[:p, :p] += s1
+    sigma_tilde[p:, p:] += s2
+    sigma_tilde = 0.5 * (sigma_tilde + sigma_tilde.T)
+
     mu12 = a @ mu_tilde
     sigma12 = a @ sigma_tilde @ a.T
     sigma12 = 0.5 * (sigma12 + sigma12.T)

@@ -102,3 +102,37 @@ def random_grfn_params(rng, mu_range=(-3.0, 3.0), var_range=(0.05, 4.0), h_range
 def random_spd(rng, p, scale=1.0):
     a = rng.normal(size=(p, p))
     return scale * (a @ a.T + p * np.eye(p) * 0.1)
+
+
+def grfv_combination_by_dense_k_form(mu1, s1, h1, mu2, s2, h2):
+    """Combination of two GRFVs through the 2p x 2p information form.
+
+    The joint mode law conditioned on pair consistency has precision
+    ``K = [[S1^-1 + Hbar, -Hbar], [-Hbar, S2^-1 + Hbar]]`` with
+    ``Hbar = (H1^-1 + H2^-1)^-1`` and mean ``K^-1 [S1^-1 mu1; S2^-1 mu2]``;
+    ``log(1 - kappa)`` is the ratio of the Gaussian normalizers.  Dense
+    ``np.linalg.inv``/``slogdet`` throughout, so all four matrices must be
+    positive definite.
+    """
+    inv = np.linalg.inv
+    s1i, s2i = inv(s1), inv(s2)
+    hbar = inv(inv(h1) + inv(h2))
+    k = np.block([[s1i + hbar, -hbar], [-hbar, s2i + hbar]])
+    sigma_t = inv(k)
+    b = np.concatenate([s1i @ mu1, s2i @ mu2])
+    mu_t = sigma_t @ b
+    logdet = lambda m: np.linalg.slogdet(m)[1]  # noqa: E731
+    log1mk = 0.5 * (-logdet(k) - logdet(s1) - logdet(s2)) - 0.5 * (
+        mu1 @ s1i @ mu1 + mu2 @ s2i @ mu2 - mu_t @ b
+    )
+    a = inv(h1 + h2) @ np.hstack([h1, h2])
+    return {
+        "kappa": -math.expm1(log1mk),
+        "mu": a @ mu_t,
+        "Sigma": a @ sigma_t @ a.T,
+        "H": h1 + h2,
+        "inter_mu": mu_t,
+        "inter_Sigma": sigma_t,
+        "Hbar": hbar,
+        "A": a,
+    }

@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import erfs
 from erfs import randomset
 from erfs.cli import main, parse_grid
 from erfs.errors import ErfsError
@@ -394,3 +398,41 @@ def test_cdf_when_precision_times_variance_and_offset_overflow(tmp_path, capsys)
     doc = write_doc(tmp_path, "big.json", {"type": "grfn", "mu": 1e308, "sigma2": 1e308, "h": 1e308})
     assert main(["cdf", doc, "--at", "-1e308"]) == 0
     assert _strict_json(capsys.readouterr().out) == {"y": -1e308, "lower": 0.0, "upper": 0.0}
+
+
+class TestDashValues:
+    """``--lo -inf`` reads as ``--lo=-inf``, not as an option."""
+
+    @pytest.mark.parametrize("kind", ["gfn", "grfn"])
+    def test_ray_bounds(self, kind, tmp_path, capsys):
+        doc = write_doc(tmp_path, "d.json", _MATRIX_DOCS[kind][0])
+        spaced = _run(["belpl", doc, "--lo", "-inf", "--hi", "0.5"], capsys)
+        joined = _run(["belpl", doc, "--lo=-inf", "--hi=0.5"], capsys)
+        assert spaced == joined
+        if kind == "gfn":
+            assert spaced[0] == 0 and not _NON_FINITE_TOKEN.search(spaced[1])
+        else:
+            assert spaced[0] == 2 and "use cdf_bounds for rays" in spaced[2]
+
+    def test_negative_upper_end(self, tmp_path, capsys):
+        doc = write_doc(tmp_path, "d.json", _MATRIX_DOCS["gfn"][0])
+        assert _run(["belpl", doc, "--lo", "-2", "--hi", "-inf"], capsys)[0] == 2
+        assert _run(["belpl", doc, "--lo", "-2", "--hi", "-0.5"], capsys)[0] == 0
+
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(erfs.__file__)))
+
+
+@pytest.mark.parametrize("payload", [
+    {"type": "grfn", "mu": 1e308, "sigma2": 1e308, "h": 1e308},
+    {"type": "triangular-gaussian", "mu": 1e308, "sigma": 1.0, "a": 1.0},
+])
+def test_overflowing_grids_print_no_warnings(payload, tmp_path):
+    doc = write_doc(tmp_path, "big.json", payload)
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    for argv in (["cdf", doc, "--grid=-1.7e308:-1.6e308:5e307"],
+                 ["plotdata", doc, "--grid=-1.7e308:-1.6e308:5e307"]):
+        proc = subprocess.run([sys.executable, "-m", "erfs.cli", *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert proc.stdout and not _NON_FINITE_TOKEN.search(proc.stdout)

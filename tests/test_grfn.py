@@ -1,6 +1,7 @@
 """Tests for Gaussian random fuzzy numbers: closed forms vs independent oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +137,15 @@ class TestBelPl:
         assert 0.0 <= bel_s <= pl_s <= 1.0
         assert bel_s <= bel_b + 1e-12
         assert pl_s <= pl_b + 1e-12
+
+
+    def test_monotone_when_one_over_sigma2_overflows(self):
+        # subnormal sigma2: 1/sigma2 is inf, the ratio form would read s0 = 0
+        g = GRFN(0.0, 2.2250738585e-313, 1.0)
+        _, pl_point = g.bel_pl(Interval(0.0, 0.0))
+        _, pl_wider = g.bel_pl(Interval(0.0, 2.225073858507203e-309))
+        assert pl_point == pytest.approx(1.0, abs=1e-12)
+        assert pl_point <= pl_wider + 1e-12
 
 
 class TestCdfBounds:
@@ -523,3 +533,36 @@ class TestTriangularGaussian:
         assert TriangularGaussian.from_dict(t.to_dict()) == t
         with pytest.raises(DomainError, match="'a'"):
             TriangularGaussian.from_dict({"mu": 0.0, "sigma": 1.0, "a": None})
+
+
+class TestTriangularWhenTheOffsetOverflows:
+    """``x -+ a - mu`` overflows: the finite limit, not ``inf * 0``."""
+
+    t = TriangularGaussian(1e308, 1.0, 1.0)
+
+    def test_float_path(self):
+        assert self.t.contour(-1e308) == 0.0
+        assert self.t.cdf_bounds(-1e308) == (0.0, 0.0)
+        far_left = TriangularGaussian(-1e308, 1.0, 1.0)
+        assert far_left.contour(1e308) == 0.0
+        assert far_left.cdf_bounds(1e308) == (1.0, 1.0)
+        # only the ratio (x - mu) / a overflows
+        assert TriangularGaussian(0.0, 1.0, 0.5).cdf_bounds(-1e308) == (0.0, 0.0)
+
+    def test_array_path(self):
+        xs = np.array([-1e308, -1.7e308, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            contour = self.t.contour(xs)
+            lower, upper = self.t.cdf_bounds(xs)
+        np.testing.assert_array_equal(contour, [0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(lower, [0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(upper, [0.0, 0.0, 0.0])
+
+    def test_float_and_array_paths_agree(self):
+        t = TriangularGaussian(0.3, 0.8, 1.2)
+        xs = np.linspace(-6.0, 6.0, 41)
+        lower, upper = t.cdf_bounds(xs)
+        for i, x in enumerate(xs):
+            assert t.contour(float(x)) == pytest.approx(t.contour(xs)[i], abs=1e-15)
+            assert t.cdf_bounds(float(x)) == pytest.approx((lower[i], upper[i]), abs=1e-15)

@@ -10,7 +10,7 @@ from erfs.errors import ContradictoryEvidence, DomainError, NotPositiveDefinite,
 from erfs.grfn import GRFN
 from erfs.grfn import combine as combine_1d
 from erfs.grfv import GRFV, combine
-from oracles import random_grfn_params, random_spd
+from oracles import grfv_combination_by_dense_k_form, random_grfn_params, random_spd
 
 
 class TestConstruction:
@@ -165,14 +165,78 @@ class TestCombine:
             combine(g1, g2)
 
     def test_semidefinite_inputs_rejected(self):
-        good = GRFV([0.0, 0.0], np.eye(2), np.eye(2))
+        # the contract is H1 + H2 and Sigma1 + Sigma2 positive definite
         vac = GRFV([0.0, 0.0], np.eye(2), np.zeros((2, 2)))
-        with pytest.raises(NotPositiveDefinite):
-            combine(good, vac)
+        with pytest.raises(NotPositiveDefinite, match="H1 \\+ H2"):
+            combine(vac, vac)
+        possibilistic = GRFV([0.0, 0.0], np.zeros((2, 2)), np.eye(2))
+        with pytest.raises(NotPositiveDefinite, match="Sigma1 \\+ Sigma2"):
+            combine(possibilistic, possibilistic)
+        half = GRFV([0.0, 0.0], np.diag([1.0, 0.0]), np.eye(2))
+        with pytest.raises(NotPositiveDefinite, match="Sigma1 \\+ Sigma2"):
+            combine(half, half)
+
+    def test_one_sided_semidefinite_inputs_combine(self):
+        rng = np.random.default_rng(61)
+        g = GRFV(rng.normal(size=2), random_spd(rng, 2), random_spd(rng, 2))
+        for other in (GRFV([0.3, -0.2], np.zeros((2, 2)), random_spd(rng, 2)),
+                      GRFV([0.3, -0.2], random_spd(rng, 2), np.diag([1.5, 0.0]))):
+            for f in (combine(g, other), combine(other, g)):
+                assert 0.0 <= f.kappa < 1.0
+                assert np.all(np.linalg.eigvalsh(f.combined.Sigma) > 0.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             combine(GRFV([0.0], [[1.0]], [[1.0]]), GRFV([0.0, 0.0], np.eye(2), np.eye(2)))
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 10, 50])
+    def test_matches_the_dense_k_form(self, p):
+        rng = np.random.default_rng(100 + p)
+        for _ in range(5):
+            mu1 = rng.normal(size=p)
+            mu2 = mu1 + 0.3 * rng.normal(size=p) / math.sqrt(p)
+            s1, s2 = random_spd(rng, p, 1.0 / p), random_spd(rng, p, 2.0 / p)
+            h1, h2 = random_spd(rng, p, 1.0 / p), random_spd(rng, p, 0.5 / p)
+            f = combine(GRFV(mu1, s1, h1), GRFV(mu2, s2, h2))
+            want = grfv_combination_by_dense_k_form(mu1, s1, h1, mu2, s2, h2)
+            got = {
+                "kappa": f.kappa, "mu": f.combined.mu, "Sigma": f.combined.Sigma,
+                "H": f.combined.H, "inter_mu": f.intermediates.mu,
+                "inter_Sigma": f.intermediates.Sigma, "Hbar": f.intermediates.Hbar,
+                "A": f.intermediates.A,
+            }
+            assert 0.0 < f.kappa < 1.0
+            for name, value in want.items():
+                assert_allclose(got[name], value, rtol=0,
+                                atol=1e-10 * np.max(np.abs(value)), err_msg=name)
+
+    def test_vacuous_source_is_neutral(self):
+        rng = np.random.default_rng(67)
+        for p in (1, 2, 5):
+            g = GRFV(rng.normal(size=p), random_spd(rng, p), random_spd(rng, p))
+            vac = GRFV(rng.normal(size=p), random_spd(rng, p), np.zeros((p, p)))
+            for f in (combine(g, vac), combine(vac, g)):
+                assert f.kappa == 0.0
+                np.testing.assert_array_equal(f.combined.H, g.H)
+                np.testing.assert_array_equal(f.intermediates.Hbar, np.zeros((p, p)))
+                assert_allclose(f.combined.mu, g.mu, rtol=1e-12, atol=1e-14)
+                assert_allclose(f.combined.Sigma, g.Sigma, rtol=1e-12, atol=1e-14)
+
+    def test_vacuous_extension_fuses_coordinatewise(self):
+        g1 = GRFV([0.0], [[1.0]], [[1.0]]).vacuous_extend(1)
+        g2 = GRFV([0.0, 0.0], np.eye(2), np.eye(2))
+        f = combine(g1, g2)
+        scalar = combine_1d(GRFN(0.0, 1.0, 1.0), GRFN(0.0, 1.0, 1.0))
+        assert f.kappa == pytest.approx(1.0 - 1.0 / math.sqrt(2.0), abs=1e-15)
+        assert f.kappa == pytest.approx(scalar.kappa, abs=1e-15)
+        first = f.combined.marginalize(1)
+        assert first.mu[0] == pytest.approx(scalar.combined.mu, abs=1e-15)
+        assert first.Sigma[0, 0] == pytest.approx(scalar.combined.sigma2, abs=1e-15)
+        assert first.H[0, 0] == pytest.approx(scalar.combined.h, abs=1e-15)
+        # the second coordinate is the second source's, untouched
+        assert_allclose(f.combined.mu, [0.0, 0.0], atol=1e-15)
+        assert_allclose(f.combined.Sigma, np.diag([0.5, 1.0]), atol=1e-15)
+        assert_allclose(f.combined.H, np.diag([2.0, 1.0]), atol=1e-15)
 
     def test_intermediate_shapes(self):
         g = GRFV([0.0, 1.0], np.eye(2), np.eye(2))

@@ -1,4 +1,4 @@
-"""scipy is loaded only where arrays or matrices need it.
+"""scipy is loaded only where arrays need it, and ``scipy.linalg`` never.
 
 Each test runs a fresh interpreter, since this test process has long
 imported scipy through other tests.
@@ -33,13 +33,22 @@ print(json.dumps({"codes": codes,
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
-VECTOR_FUSION = r"""
+VECTOR_MODELS = r"""
 import json, sys
 import numpy as np
 from erfs import GRFV, grfv
+from erfs.fuzzy import GFV, product
 
-f = grfv.combine(GRFV([0.0, 1.0], np.eye(2), np.eye(2)), GRFV([0.5, 0.0], np.eye(2), 2 * np.eye(2)))
-print(json.dumps({"kappa": f.kappa, "linalg": "scipy.linalg" in sys.modules}))
+g1 = GRFV([0.0, 1.0], np.eye(2), np.eye(2))
+g2 = GRFV([0.5, 0.0], np.eye(2), 2 * np.eye(2))
+f = grfv.combine(g1, g2)
+g = f.combined
+ext = g.marginalize(1).vacuous_extend(1)
+contour = g.contour(np.zeros((3, 2)))
+prod = product(GFV([0.0, 1.0], np.eye(2)), GFV([1.0, 0.0], 2 * np.eye(2)))
+print(json.dumps({"kappa": f.kappa, "contour": contour.tolist(), "dim": ext.dim,
+                  "height": prod.height,
+                  "linalg": sorted(m for m in sys.modules if m.startswith("scipy.linalg"))}))
 """
 
 
@@ -56,7 +65,10 @@ def test_scalar_cli_calls_never_import_scipy():
     assert out["scipy"] == []
 
 
-def test_vector_fusion_imports_scipy_linalg_on_first_use():
-    out = _run(VECTOR_FUSION)
-    assert out["linalg"] is True
+def test_vector_models_never_import_scipy_linalg():
+    # numpy and scipy bundle separate BLAS builds: the vector kernel uses numpy's only
+    out = _run(VECTOR_MODELS)
+    assert out["linalg"] == []
     assert 0.0 < out["kappa"] < 1.0
+    assert all(0.0 < c <= 1.0 for c in out["contour"])
+    assert out["dim"] == 2 and 0.0 < out["height"] <= 1.0

@@ -1,0 +1,90 @@
+"""Tests for the SPD kernel."""
+
+import numpy as np
+import pytest
+
+from erfs._linalg import PSD_RTOL, SpdFactor, check_psd
+from erfs.errors import NotPositiveDefinite
+
+
+def _with_spectrum(eigenvalues, seed=0):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((len(eigenvalues), len(eigenvalues))))
+    a = q @ np.diag(eigenvalues) @ q.T
+    return 0.5 * (a + a.T)
+
+
+def _eigenvalue_rule(a):
+    w = np.linalg.eigvalsh(a)
+    return bool(w[0] >= -PSD_RTOL * max(w[-1], 0.0, 1e-300))
+
+
+_BATTERY = {
+    "identity": np.eye(3),
+    "pd": _with_spectrum([3.0, 1.0, 0.2, 1e-6]),
+    "ill-conditioned pd": _with_spectrum([1.0, 1e-9, 1e-15]),
+    "zero": np.zeros((3, 3)),
+    "singular psd": _with_spectrum([2.0, 1.0, 0.0]),
+    "rank one": np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),
+    "vacuous extension": np.diag([2.0, 0.0]),
+    "indefinite": np.array([[1.0, 2.0], [2.0, 1.0]]),
+    "negative definite": -np.eye(2),
+    "just above the tolerance": _with_spectrum([1.0, 0.5, -0.9 * PSD_RTOL]),
+    "just below the tolerance": _with_spectrum([1.0, 0.5, -1.1 * PSD_RTOL]),
+    "just above, scaled": _with_spectrum([1e6, 3.0, -0.9e6 * PSD_RTOL], seed=1),
+    "just below, scaled": _with_spectrum([1e6, 3.0, -1.1e6 * PSD_RTOL], seed=1),
+    "just above, p=50": _with_spectrum(np.r_[np.linspace(1.0, 2.0, 49), -0.9 * 2.0 * PSD_RTOL], seed=2),
+    "just below, p=50": _with_spectrum(np.r_[np.linspace(1.0, 2.0, 49), -1.1 * 2.0 * PSD_RTOL], seed=2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BATTERY))
+def test_check_psd_decides_as_the_eigenvalue_rule(case):
+    a = _BATTERY[case]
+    accept = _eigenvalue_rule(a)
+    if accept:
+        np.testing.assert_array_equal(check_psd(a, "A"), a)
+    else:
+        with pytest.raises(NotPositiveDefinite, match="below the PSD tolerance"):
+            check_psd(a, "A")
+
+
+def test_battery_straddles_the_tolerance():
+    decisions = {case: _eigenvalue_rule(a) for case, a in _BATTERY.items()}
+    assert decisions["just above the tolerance"] and not decisions["just below the tolerance"]
+    assert decisions["just above, p=50"] and not decisions["just below, p=50"]
+    assert decisions["singular psd"] and not decisions["indefinite"]
+
+
+def test_random_near_boundary_matrices():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        p = int(rng.integers(2, 8))
+        w = rng.uniform(0.1, 10.0, p)
+        w[0] = -w.max() * PSD_RTOL * rng.uniform(0.5, 1.5)
+        a = _with_spectrum(w, seed=int(rng.integers(1 << 30)))
+        try:
+            check_psd(a, "A")
+            accepted = True
+        except NotPositiveDefinite:
+            accepted = False
+        assert accepted == _eigenvalue_rule(a)
+
+
+class TestSpdFactor:
+    def test_factor_solve_logdet(self):
+        a = _with_spectrum([4.0, 2.0, 0.5])
+        f = SpdFactor(a)
+        np.testing.assert_allclose(f.L @ f.L.T, a, atol=1e-14)
+        assert np.all(np.triu(f.L, 1) == 0.0)
+        assert f.logdet == pytest.approx(np.log(4.0), abs=1e-13)
+        b = np.array([1.0, -2.0, 0.5])
+        np.testing.assert_allclose(a @ f.solve(b), b, atol=1e-13)
+        assert f.quad_form(b) == pytest.approx(b @ np.linalg.solve(a, b), rel=1e-13)
+        np.testing.assert_allclose(f.inv(), np.linalg.inv(a), atol=1e-13)
+
+    @pytest.mark.parametrize("a", [np.zeros((2, 2)), np.diag([1.0, 0.0]), -np.eye(2),
+                                   np.array([[1.0, 2.0], [2.0, 1.0]])])
+    def test_not_positive_definite_named(self, a):
+        with pytest.raises(NotPositiveDefinite, match="Sigma1 \\+ Sigma2 is not positive definite"):
+            SpdFactor(a, "Sigma1 + Sigma2")
