@@ -2,9 +2,11 @@
 
 GRFV(mu, Sigma, H) carries a Gaussian random mode vector and a precision
 matrix.  Combination, marginalization and vacuous extension all have
-closed forms; noninteractive (diagonal) vectors factor into independent
-one-dimensional pieces, and a vacuous extension lets evidence about some
-coordinates fuse with evidence about all of them.
+closed forms for positive-semidefinite Sigma and H; noninteractive
+(diagonal) vectors factor into independent one-dimensional pieces, a
+possibilistic vector (Sigma = 0) fuses like any other, and a vacuous
+extension lets evidence about some coordinates fuse with evidence about all
+of them.
 """
 
 import numpy as np
@@ -52,6 +54,18 @@ print("  Sigma:\n", ext.Sigma)
 print("  H (zero block = no constraint on the new coordinate):\n", ext.H)
 back = ext.marginalize(1)
 print("  marginalizing back recovers:", back.mu, back.Sigma.ravel(), back.H.ravel())
+x = 0.4
+print("  contour at (0.4, t) for t = -9, 0, 9:",
+      [f"{ext.contour(np.array([x, t])):.6f}" for t in (-9.0, 0.0, 9.0)],
+      " 1-D contour at 0.4:", f"{GRFN(1.0, 1.0, 2.0).contour(x):.6f}")
+
+print("\n== possibilistic vectors (Sigma = 0) fuse like the GFV product ==")
+p1 = GRFV([0.0, 1.0], np.zeros((2, 2)), np.diag([1.0, 2.0]))
+p2 = GRFV([1.0, 0.5], np.zeros((2, 2)), np.diag([0.5, 1.0]))
+f = combine(p1, p2)
+r = product(GFV(p1.mu, p1.H), GFV(p2.mu, p2.H))
+print("  combined mu:", f.combined.mu, " GFV product mode:", r.product.mode)
+print("  1 - kappa:", f"{1.0 - f.kappa:.6f}", " GFV product height:", f"{r.height:.6f}")
 
 print("\n== evidence on different coordinates fuses through vacuous extension ==")
 first_only = GRFV([0.0], [[1.0]], [[1.0]]).vacuous_extend(1)

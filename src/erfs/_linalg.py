@@ -1,10 +1,9 @@
-"""Small symmetric-positive-definite kernel used by the vector modules.
+"""Small symmetric-positive-semidefinite kernel used by the vector modules.
 
-All factorizations are Cholesky-based; log-determinants are accumulated
-from the factor diagonal so that determinant ratios stay finite in
-log-space.  Checks fail loudly (no jitter, no automatic regularization):
-silently repairing an indefinite matrix would corrupt the closed forms
-this package exists to validate.
+Inputs are validated as PSD; only ``H1 + H2`` (:func:`parallel_sum`) must
+be positive definite.  Checks fail loudly (no jitter, no automatic
+regularization): silently repairing an indefinite matrix would corrupt
+the closed forms this package exists to validate.
 
 All dense linear algebra runs on numpy (``np.linalg``), never on
 ``scipy.linalg``.  numpy and scipy wheels each bundle their own OpenBLAS
@@ -16,7 +15,8 @@ pool.
 Tolerances (relative):
   * symmetry:            1e-10
   * PSD eigenvalue test: eigenvalues >= -1e-10 * max eigenvalue
-  * PD test / singular block: 1e-12
+  * PD test: each Cholesky pivot L_ii^2 > 1e-12 * a_ii
+  * Schur complement rank cut: 1e-12 (of the unit-diagonal trailing block)
 """
 
 from __future__ import annotations
@@ -80,6 +80,7 @@ def check_psd(a: np.ndarray, name: str) -> np.ndarray:
     return a
 
 
+# only perfbench/wl_vector.py:boundaries still uses is_pd
 def is_pd(a: np.ndarray) -> bool:
     """Positive definiteness test: all eigenvalues > PD_RTOL * trace / p."""
     a = np.asarray(a, dtype=float)
@@ -90,12 +91,14 @@ def is_pd(a: np.ndarray) -> bool:
 
 class SpdFactor:
     """Cholesky factorization ``a = L L^T`` of an SPD matrix, with solve and
-    log-determinant.  Raises :class:`NotPositiveDefinite` when it fails."""
+    log-determinant.  Raises :class:`NotPositiveDefinite` when it fails or
+    when a pivot ``L_ii^2 <= PD_RTOL a_ii`` (rounding lets Cholesky pass a
+    singular matrix with a pivot near ``eps``); the test ignores units."""
 
     def __init__(self, a: np.ndarray, name: str = "matrix"):
         a = check_symmetric(as_matrix(a, name), name)
         lower = _cholesky(a)
-        if lower is None:
+        if lower is None or (lower.diagonal() ** 2 <= PD_RTOL * a.diagonal()).any():
             raise NotPositiveDefinite(f"{name} is not positive definite")
         self._a = a
         self.L = lower
@@ -105,6 +108,7 @@ class SpdFactor:
     def solve(self, b) -> np.ndarray:
         return np.linalg.solve(self._a, np.asarray(b, dtype=float))
 
+    # only perfbench/wl_vector.py:boundaries still uses inv
     def inv(self) -> np.ndarray:
         out = self.solve(np.eye(self.n))
         return 0.5 * (out + out.T)
@@ -119,27 +123,40 @@ class SpdFactor:
         return float(v @ self.solve(v))
 
 
+def parallel_sum(h1: np.ndarray, h2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``A2 = (H1 + H2)^-1 H2`` and the parallel sum ``Hbar = H1 A2``.
+
+    ``Hbar`` is the precision of the height of a product of two Gaussian
+    memberships: PSD, and 0 when either is (Anderson & Duffin, 1969).
+    :class:`NotPositiveDefinite` names ``H1 + H2`` unless it is PD.
+    """
+    a2 = SpdFactor(h1 + h2, "H1 + H2").solve(h2)
+    hbar = h1 @ a2
+    return a2, 0.5 * (hbar + hbar.T)
+
+
 def schur_complement_keep_leading(h: np.ndarray, keep: int) -> np.ndarray:
     """Precision of the leading ``keep`` coordinates after maximizing out the rest.
 
-    Returns ``H11 - H12 H22^{-1} H21`` for the block split at ``keep``.  The
-    all-zero trailing block (a vacuous/cylindrical extension, where the
-    general formula's precondition fails) is read off structurally: the
-    leading block passes through unchanged.  A singular but nonzero trailing
-    block raises :class:`SingularBlock`.
+    The generalized Schur complement ``H11 - B W^-1 B^T``, ``B = H12 V``,
+    over the eigenpairs ``(W, V)`` of ``H22`` (rescaled to a unit diagonal)
+    above the rank cut; a PSD ``H`` has ``range(H21)`` in ``range(H22)``,
+    so a zero trailing block passes ``H11`` through.  A PSD ``H`` also has
+    ``B_ik^2 <= H11_ii W_k``: a cut eigenpair coupled beyond rounding is
+    ill-conditioned, not null, and raises :class:`SingularBlock`.
     """
     p = h.shape[0]
     if not 0 < keep < p:
         raise SingularBlock(f"keep must be in (0, {p}), got {keep}")
+    d = h.diagonal()[keep:]
+    s = 1.0 / np.sqrt(np.where(d > 0, d, 1.0))
+    w, v = np.linalg.eigh(s[:, None] * h[keep:, keep:] * s)
+    b = (h[:keep, keep:] * s) @ v
+    cut = PD_RTOL * max(w[-1], 1e-300)
+    rank = w > cut
     h11 = h[:keep, :keep]
-    h12 = h[:keep, keep:]
-    h22 = h[keep:, keep:]
-    scale = max(np.max(np.abs(h)), 1e-300)
-    if np.max(np.abs(h22)) <= PD_RTOL * scale and np.max(np.abs(h12)) <= PD_RTOL * scale:
-        return h11.copy()
-    w = np.linalg.eigvalsh(0.5 * (h22 + h22.T))
-    if np.min(np.abs(w)) <= PD_RTOL * max(np.max(np.abs(w)), 1e-300):
-        raise SingularBlock("trailing block is singular to relative tolerance 1e-12")
-    x = np.linalg.solve(h22, h12.T)
-    out = h11 - h12 @ x
+    if (b[:, ~rank] ** 2 > PD_RTOL * cut * h11.diagonal()[:, None]).any():
+        raise SingularBlock("trailing block is singular to tolerance 1e-12 but coupled to the rest")
+    b = b[:, rank]
+    out = h11 - (b / w[rank]) @ b.T
     return 0.5 * (out + out.T)

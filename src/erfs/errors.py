@@ -22,7 +22,7 @@ class NotPositiveDefinite(ErfsError):
 
 
 class SingularBlock(ErfsError):
-    """A trailing block that must be inverted is singular to tolerance."""
+    """A projection's block split is outside ``(0, p)``, or its trailing block is ill-conditioned."""
 
 
 class PracticalRejection(ErfsError):

@@ -4,7 +4,9 @@ A Gaussian fuzzy number ``GFN(m, h)`` is the normal fuzzy subset of the
 real line with membership ``exp(-h/2 (x - m)^2)``; ``m`` is the mode and
 ``h`` in ``[0, +inf]`` the precision.  ``h = 0`` is the maximally imprecise
 whole line, ``h = +inf`` the crisp point ``{m}``.  The vector analogue
-``GFV(m, H)`` uses a symmetric positive-semidefinite precision matrix.
+``GFV(m, H)`` uses a symmetric positive-semidefinite precision matrix; the
+product of two GFVs needs only ``H1 + H2`` positive definite, and
+projection holds for any PSD precision.
 
 The family is closed under the normalized product intersection: the
 product of two Gaussian memberships is a Gaussian membership rescaled by
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._normal import as_output, as_points, exp
-from ._linalg import SpdFactor, check_psd, is_pd, schur_complement_keep_leading
-from .errors import ContradictoryEvidence, DomainError, NotPositiveDefinite
+from ._linalg import check_psd, parallel_sum, schur_complement_keep_leading
+from .errors import ContradictoryEvidence, DomainError
 from .interval import Interval
 
 __all__ = [
@@ -239,19 +241,15 @@ def _gfn_product(g1: GFN, g2: GFN) -> ProductResult:
 
 
 def _gfv_product(g1: GFV, g2: GFV) -> ProductResult:
+    """The GRFV combination at ``Sigma = 0``, without its conflict cutoff:
+    mode ``m1 + A2 (m2 - m1)``, log height ``-1/2 d^T Hbar d``."""
     if g1.dim != g2.dim:
         raise DomainError(f"dimension mismatch: {g1.dim} vs {g2.dim}")
-    if not is_pd(g1.precision):
-        raise NotPositiveDefinite("first precision matrix is not positive definite")
-    if not is_pd(g2.precision):
-        raise NotPositiveDefinite("second precision matrix is not positive definite")
-    h1, h2 = g1.precision, g2.precision
-    h12 = h1 + h2
-    m12 = SpdFactor(h12, "H1 + H2").solve(h1 @ g1.mode + h2 @ g2.mode)
-    w = SpdFactor(h1, "H1").inv() + SpdFactor(h2, "H2").inv()
+    a2, hbar = parallel_sum(g1.precision, g2.precision)
     d = g1.mode - g2.mode
-    log_height = -0.5 * SpdFactor(w, "H1^-1 + H2^-1").quad_form(d)
-    return ProductResult(GFV(m12, h12), math.exp(log_height))
+    m12 = g1.mode - a2 @ d
+    log_height = -0.5 * float(d @ hbar @ d)
+    return ProductResult(GFV(m12, g1.precision + g2.precision), math.exp(log_height))
 
 
 def linear_combination(terms) -> GFN:

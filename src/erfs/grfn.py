@@ -249,12 +249,13 @@ class TriangularGaussian:
         mu, sigma, a = self.mu, self.sigma, self.a
         if a == 0.0:
             return as_output(np.zeros_like(x))
-        z_minus = (x - a - mu) / sigma
-        z0 = (x - mu) / sigma
-        z_plus = (x + a - mu) / sigma
-        left = (mu - x + a) * (Phi(z0) - Phi(z_minus)) + sigma * (phi(z_minus) - phi(z0))
-        right = (x + a - mu) * (Phi(z_plus) - Phi(z0)) - sigma * (phi(z0) - phi(z_plus))
-        # NaN only from an overflowing x -+ a - mu (inf * 0): the limit there is 0
+        d = x - mu
+        z_minus = (d - a) / sigma
+        z0 = d / sigma
+        z_plus = (d + a) / sigma
+        left = (a - d) * (Phi(z0) - Phi(z_minus)) + sigma * (phi(z_minus) - phi(z0))
+        right = (d + a) * (Phi(z_plus) - Phi(z0)) - sigma * (phi(z0) - phi(z_plus))
+        # NaN only from an overflowing x - mu (inf * 0): the limit there is 0
         return as_output(minimum(maximum(where_nan((left + right) / a, 0.0), 0.0), 1.0))
 
     @quiet_on_arrays
@@ -262,23 +263,16 @@ class TriangularGaussian:
         """Lower and upper cdf at ``y`` (elementwise): Bel and Pl of ``(-inf, y]``."""
         x = as_points(y)
         mu, sigma, a = self.mu, self.sigma, self.a
-        z0 = (x - mu) / sigma
+        d = x - mu
+        z0 = d / sigma
         p0 = Phi(z0)
         if a == 0.0:
             return (as_output(p0),) * 2
-        z_plus = (x + a - mu) / sigma
-        z_minus = (x - a - mu) / sigma
-        upper = (
-            ((x + a - mu) / a) * Phi(z_plus)
-            - ((x - mu) / a) * p0
-            + (sigma / a) * (phi(z_plus) - phi(z0))
-        )
-        lower = (
-            ((x - mu) / a) * p0
-            - ((x - a - mu) / a) * Phi(z_minus)
-            + (sigma / a) * (phi(z0) - phi(z_minus))
-        )
-        # NaN only where x -+ a - mu, or its ratio to a or sigma, overflows
+        z_plus = (d + a) / sigma
+        z_minus = (d - a) / sigma
+        upper = ((d + a) / a) * Phi(z_plus) - (d / a) * p0 + (sigma / a) * (phi(z_plus) - phi(z0))
+        lower = (d / a) * p0 - ((d - a) / a) * Phi(z_minus) + (sigma / a) * (phi(z0) - phi(z_minus))
+        # NaN only where x - mu -+ a, or its ratio to a or sigma, overflows
         # (inf * 0, inf - inf); both bounds then round to their limit Phi(z0)
         return tuple(
             as_output(minimum(maximum(where_nan(v, p0), 0.0), 1.0)) for v in (lower, upper)
@@ -380,9 +374,13 @@ def conflict_degree(log1mk: float) -> float:
     """``kappa = 1 - exp(log1mk)``, the conflict policy of every combination.
 
     Raises :class:`ContradictoryEvidence` when ``1 - kappa`` is below
-    ``_CONFLICT_EPS`` (1e-15): the evidence is totally conflicting.
+    ``_CONFLICT_EPS`` (1e-15): the evidence is totally conflicting; and
+    :class:`DomainError` when ``log1mk`` is NaN, which an overflow in a
+    caller's closed form leaves behind.
     """
-    if log1mk <= math.log(_CONFLICT_EPS):
+    if not log1mk > math.log(_CONFLICT_EPS):  # NaN fails this test too
+        if log1mk != log1mk:
+            raise DomainError("log(1 - kappa) is NaN: the conflict overflowed")
         raise ContradictoryEvidence(
             f"degree of conflict rounds to 1 (log(1 - kappa) = {log1mk:.3g})"
         )

@@ -6,16 +6,15 @@ matrices need only be positive semidefinite: a zero block of ``H`` is a
 vacuous extension (nothing asserted about those coordinates), a zero
 ``Sigma`` a possibilistic vector.
 
-:func:`combine` and :meth:`GRFV.contour` run on the SPD kernel in
-:mod:`erfs._linalg` in information form: p x p Cholesky factors,
-factor-diagonal log-determinants and solves, with no eigendecomposition
-and no explicit inverse.  The conflict is formed in log-space.
+:func:`combine`, :meth:`GRFV.contour` and :meth:`GRFV.marginalize` hold
+for any PSD ``Sigma`` and ``H``.  Combination and contour factor, by LU,
+only ``I + Hbar S`` and ``I + Sigma H``, which stay nonsingular there (the
+eigenvalues of a product of two PSD matrices are >= 0); marginalization
+takes a generalized Schur complement.  The conflict is formed in
+log-space.
 
-Contract:
-  * :func:`combine` needs ``H1 + H2`` and ``Sigma1 + Sigma2`` positive
-    definite, so a vacuous extension fuses with evidence on the missing
-    coordinates;
-  * :meth:`GRFV.contour` needs ``H`` positive definite.
+Contract: :func:`combine` needs ``H1 + H2`` positive definite, so a
+vacuous extension fuses with evidence on the missing coordinates.
 """
 
 from __future__ import annotations
@@ -25,10 +24,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import (
+from ._linalg import (  # noqa: F401 - perfbench's traced run patches SpdFactor and is_pd here
     SpdFactor,
+    as_matrix,
     check_psd,
-    is_pd,  # noqa: F401 - unused here; perfbench's traced run patches erfs.grfv.is_pd
+    is_pd,
+    parallel_sum,
     schur_complement_keep_leading,
 )
 from .errors import DomainError
@@ -67,30 +68,25 @@ class GRFV:
 
     def contour(self, x):
         """Pointwise plausibility: ``|I + Sigma H|^{-1/2} exp(-q/2)`` with
-        ``q = (x - mu)^T (H^{-1} + Sigma)^{-1} (x - mu)``.  Needs PD ``H``.
+        ``q = (x - mu)^T (H^{-1} + Sigma)^{-1} (x - mu)``.
 
-        With ``H = L L^T`` and ``M = I + L^T Sigma L``,
-        ``|I + Sigma H| = |M|`` and ``q = (L^T d)^T M^{-1} (L^T d)``.
+        ``(H^-1 + Sigma)^-1 = H M^-1`` with ``M = I + Sigma H``, so
+        ``q = (H d)^T M^-1 d``; ``M`` is nonsingular for any PSD ``Sigma``
+        and ``H``, and a zero ``H`` gives the constant 1.
         """
-        lower = SpdFactor(self.H, "H").L
-        mf = SpdFactor(np.eye(self.dim) + lower.T @ self.Sigma @ lower, "I + L^T Sigma L")
-        log_norm = -0.5 * mf.logdet
+        m = as_matrix(np.eye(self.dim) + self.Sigma @ self.H, "I + Sigma H")
+        log_norm = -0.5 * np.linalg.slogdet(m)[1]
         x = np.asarray(x, dtype=float)
         d = x - self.mu
         if d.ndim == 1:
-            return float(np.exp(log_norm - 0.5 * mf.quad_form(lower.T @ d)))
-        z = d @ lower
-        q = np.einsum("ij,ji->i", z, mf.solve(z.T))
+            return float(np.exp(log_norm - 0.5 * (self.H @ d) @ np.linalg.solve(m, d)))
+        q = np.einsum("ij,ji->i", d @ self.H, np.linalg.solve(m, d.T))
         return np.exp(log_norm - 0.5 * q)
 
     def marginalize(self, keep: int) -> "GRFV":
-        """Marginal on the leading ``keep`` coordinates.
-
-        The precision of the kept block is its Schur complement; a vacuous
-        trailing block (all-zero precision, as produced by
-        :meth:`vacuous_extend`) is read off structurally instead, since the
-        complement formula's nonsingularity assumption fails there.
-        """
+        """Marginal on the leading ``keep`` coordinates: the kept block's
+        generalized Schur complement, so a vacuous or exactly singular
+        trailing block projects like any other."""
         h11 = schur_complement_keep_leading(self.H, keep)
         return GRFV(self.mu[:keep], self.Sigma[:keep, :keep], h11)
 
@@ -181,48 +177,43 @@ class GrfvFusion:
 def combine(g1: GRFV, g2: GRFV) -> GrfvFusion:
     """Generalized product-intersection combination of two independent GRFVs.
 
-    ``H1 + H2`` and ``Sigma1 + Sigma2`` must be positive definite.  The
-    combined vector has precision ``H1 + H2``.  A pair of modes
-    ``(M1, M2)`` is consistent with height ``exp(-D^T Hbar D / 2)``,
-    ``D = M1 - M2``, where
+    ``H1 + H2`` must be positive definite; ``Sigma1``, ``Sigma2`` and each
+    ``H`` may be singular.  The combined vector has precision ``H1 + H2``.
+    A pair of modes ``(M1, M2)`` is consistent with height
+    ``exp(-D^T Hbar D / 2)``, ``D = M1 - M2``, where
 
         Hbar = H1 (H1 + H2)^-1 H2
 
     is the matrix parallel sum (``(H1^-1 + H2^-1)^-1`` when both are PD,
-    0 when either is 0).  With ``S = Sigma1 + Sigma2 = R R^T``,
-    ``N = I + R^T Hbar R``, ``d = mu1 - mu2`` and
-    ``G = (Hbar^-1 + S)^-1 = Hbar - Hbar R N^-1 R^T Hbar``,
+    0 when either is 0).  With ``S = Sigma1 + Sigma2``,
+    ``M = I + Hbar S``, ``d = mu1 - mu2`` and
+    ``G = (Hbar^-1 + S)^-1 = M^-1 Hbar``,
 
-        log(1 - kappa) = -1/2 log|N| - 1/2 d^T G d.
+        log(1 - kappa) = -1/2 log|M| - 1/2 d^T G d.
 
     The joint mode law conditioned on consistency has mean
     ``[mu1 - Sigma1 G d; mu2 + Sigma2 G d]`` and covariance
     ``diag(Sigma1, Sigma2) - [Sigma1; -Sigma2] G [Sigma1, -Sigma2]``; the
     combined mode law is its image under the precision-weighted averaging
-    map ``A = (H1 + H2)^-1 [H1 H2]``.  The conflict is decided before any
-    mode-law work, so a rejected fusion stops there.
+    map ``A = [I - A2, A2]``, ``A2 = (H1 + H2)^-1 H2``.  The conflict is
+    decided before any mode-law work, so a rejected fusion stops there.
     """
     if g1.dim != g2.dim:
         raise DomainError(f"dimension mismatch: {g1.dim} vs {g2.dim}")
     p = g1.dim
-    h12 = g1.H + g2.H
-    h12f = SpdFactor(h12, "H1 + H2")
-    a2 = h12f.solve(g2.H)
-    hbar = g1.H @ a2
-    hbar = 0.5 * (hbar + hbar.T)
+    a2, hbar = parallel_sum(g1.H, g2.H)
 
     s1, s2 = g1.Sigma, g2.Sigma
-    r = SpdFactor(s1 + s2, "Sigma1 + Sigma2").L
-    t = r.T @ hbar
-    nf = SpdFactor(np.eye(p) + t @ r, "I + R^T Hbar R")
+    m = np.eye(p) + hbar @ (s1 + s2)
     d = g1.mu - g2.mu
     # d^T G d without forming G: a rejected fusion stops after one vector solve
-    kappa = conflict_degree(-0.5 * nf.logdet - 0.5 * (float(d @ hbar @ d) - nf.quad_form(t @ d)))
+    log_det = np.linalg.slogdet(m)[1]
+    kappa = conflict_degree(-0.5 * log_det - 0.5 * float(d @ np.linalg.solve(m, hbar @ d)))
 
-    g = hbar - t.T @ nf.solve(t)
+    g = np.linalg.solve(m, hbar)
     g = 0.5 * (g + g.T)
     gd = g @ d
-    a = np.hstack([h12f.solve(g1.H), a2])
+    a = np.hstack([np.eye(p) - a2, a2])
     mu_tilde = np.concatenate([g1.mu - s1 @ gd, g2.mu + s2 @ gd])
     c = np.vstack([s1, -s2])
     sigma_tilde = -(c @ g @ c.T)
@@ -233,6 +224,6 @@ def combine(g1: GRFV, g2: GRFV) -> GrfvFusion:
     mu12 = a @ mu_tilde
     sigma12 = a @ sigma_tilde @ a.T
     sigma12 = 0.5 * (sigma12 + sigma12.T)
-    combined = GRFV(mu12, sigma12, h12)
+    combined = GRFV(mu12, sigma12, g1.H + g2.H)
     inter = GrfvIntermediates(mu_tilde, sigma_tilde, hbar, a)
     return GrfvFusion(combined, kappa, inter)

@@ -52,7 +52,6 @@ __all__ = [
     "soft_conditioning_sampler",
     "dempster_gaussian_rays",
     "triangular_gaussian_cdf_bounds",
-    "triangular_gaussian_contour",
     "triangular_gaussian_expectation_bounds",
     "oracle_suite",
 ]
@@ -503,10 +502,6 @@ def dempster_gaussian_rays(mu1, sigma1, mu2, sigma2, cfg: MCConfig):
 
 def triangular_gaussian_cdf_bounds(mu, sigma, a, x):
     return TriangularGaussian(mu, sigma, a).cdf_bounds(x)
-
-
-def triangular_gaussian_contour(mu, sigma, a, x):
-    return TriangularGaussian(mu, sigma, a).contour(x)
 
 
 def triangular_gaussian_expectation_bounds(mu, a):

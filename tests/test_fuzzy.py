@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from erfs.errors import ContradictoryEvidence, DomainError, NotPositiveDefinite, SingularBlock
+from erfs.errors import ContradictoryEvidence, DomainError, NotPositiveDefinite
 from erfs.fuzzy import (
     GFN,
     GFV,
@@ -258,9 +258,15 @@ class TestGfvProduct:
             assert rv.height == pytest.approx(rn.height, rel=1e-11)
 
     def test_requires_positive_definite(self):
+        # the contract is H1 + H2 positive definite; either precision may be singular
         singular = np.array([[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(NotPositiveDefinite):
-            product(GFV([0.0, 0.0], singular), GFV([0.0, 0.0], np.eye(2)))
+        with pytest.raises(NotPositiveDefinite, match="H1 \\+ H2"):
+            product(GFV([0.0, 0.0], singular), GFV([0.0, 0.0], singular))
+        r = product(GFV([1.0, 0.0], singular), GFV([0.0, 0.0], np.eye(2)))
+        assert_allclose(r.product.precision, singular + np.eye(2), rtol=1e-15)
+        # Hbar = singular (singular + I)^-1 = singular / 3: d^T Hbar d = 1/3
+        assert r.height == pytest.approx(math.exp(-1.0 / 6.0), rel=1e-14)
+        assert_allclose(r.product.mode, [1.0 / 3.0, 1.0 / 3.0], rtol=1e-14)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
@@ -299,13 +305,14 @@ class TestGfvProjectExtend:
         assert_allclose(back.precision, g.precision, atol=1e-14)
 
     def test_singular_nonzero_block(self):
+        # range(H21) lies in range(H22) = span(1, 1): the pseudo-inverse complement
         h = np.array([
             [2.0, 0.5, 0.5],
             [0.5, 1.0, 1.0],
             [0.5, 1.0, 1.0],
         ])
-        with pytest.raises(SingularBlock):
-            GFV([0.0, 0.0, 0.0], h).project(1)
+        g = GFV([0.0, 0.0, 0.0], h).project(1)
+        assert g.precision[0, 0] == pytest.approx(1.75, abs=1e-14)
 
     def test_permute(self):
         g = GFV([1.0, 2.0], [[2.0, 0.5], [0.5, 1.0]]).permute([1, 0])

@@ -18,6 +18,7 @@ from erfs.grfn import (
     TriangularGaussian,
     combine,
     combine_many,
+    conflict_degree,
     linear_combination,
     vacuous,
 )
@@ -321,6 +322,21 @@ class TestCombine:
         assert f1.kappa == pytest.approx(f2.kappa, abs=1e-12)
 
 
+class TestConflictDegree:
+    def test_nan_is_a_typed_error(self):
+        # an overflowing closed form leaves NaN; it must not print kappa = NaN
+        with pytest.raises(DomainError, match="NaN"):
+            conflict_degree(math.nan)
+
+    def test_cutoff(self):
+        with pytest.raises(ContradictoryEvidence):
+            conflict_degree(-math.inf)
+        with pytest.raises(ContradictoryEvidence):
+            conflict_degree(math.log(1e-15))
+        assert conflict_degree(0.0) == 0.0
+        assert conflict_degree(math.log(0.25)) == pytest.approx(0.75, rel=1e-15)
+
+
 class TestCombineMany:
     def test_single(self):
         g = GRFN(1.0, 2.0, 3.0)
@@ -533,6 +549,27 @@ class TestTriangularGaussian:
         assert TriangularGaussian.from_dict(t.to_dict()) == t
         with pytest.raises(DomainError, match="'a'"):
             TriangularGaussian.from_dict({"mu": 0.0, "sigma": 1.0, "a": None})
+
+
+class TestTriangularWithALargeMode:
+    """``x - mu`` is formed first, so ``a`` is not rounded away against ``mu``."""
+
+    big = TriangularGaussian(1e16, 1.0, 1.0)
+    centred = TriangularGaussian(0.0, 1.0, 1.0)
+
+    def test_float_path(self):
+        lower, upper = self.big.cdf_bounds(1e16)
+        assert (lower, upper) == self.centred.cdf_bounds(0.0)
+        assert lower == pytest.approx(0.3156, abs=1e-4) and upper == pytest.approx(0.6844, abs=1e-4)
+        assert self.big.contour(1e16) == self.centred.contour(0.0) > 0.0
+
+    def test_array_path(self):
+        offsets = np.array([-2.0, 0.0, 2.0])  # 1e16 + offsets is exact
+        lower, upper = self.big.cdf_bounds(1e16 + offsets)
+        want_lower, want_upper = self.centred.cdf_bounds(offsets)
+        np.testing.assert_array_equal(lower, want_lower)
+        np.testing.assert_array_equal(upper, want_upper)
+        np.testing.assert_array_equal(self.big.contour(1e16 + offsets), self.centred.contour(offsets))
 
 
 class TestTriangularWhenTheOffsetOverflows:

@@ -1,13 +1,18 @@
 """Tests for Gaussian random fuzzy vectors."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from erfs.errors import ContradictoryEvidence, DomainError, NotPositiveDefinite, SingularBlock
-from erfs.grfn import GRFN
+from erfs import grfv
+from erfs.errors import ContradictoryEvidence, DomainError, ErfsError, NotPositiveDefinite, SingularBlock
+from erfs.fuzzy import GFV, product
+from erfs.grfn import GRFN, log_one_minus_kappa
 from erfs.grfn import combine as combine_1d
 from erfs.grfv import GRFV, combine
 from oracles import grfv_combination_by_dense_k_form, random_grfn_params, random_spd
@@ -69,10 +74,11 @@ class TestContour:
         assert vals.shape == (2,)
         assert vals[0] == pytest.approx(0.5, rel=1e-14)
 
-    def test_singular_precision_rejected(self):
+    def test_singular_precision(self):
+        # a zero precision asserts nothing: the contour is 1 everywhere
         g = GRFV([0.0, 0.0], np.eye(2), np.zeros((2, 2)))
-        with pytest.raises(NotPositiveDefinite):
-            g.contour(np.array([0.0, 0.0]))
+        assert g.contour(np.array([3.0, -1.0])) == 1.0
+        np.testing.assert_array_equal(g.contour(np.array([[0.0, 0.0], [5.0, -5.0]])), [1.0, 1.0])
 
     def test_against_monte_carlo_membership_average(self):
         """The contour is the mean membership of the realized fuzzy vector."""
@@ -165,16 +171,45 @@ class TestCombine:
             combine(g1, g2)
 
     def test_semidefinite_inputs_rejected(self):
-        # the contract is H1 + H2 and Sigma1 + Sigma2 positive definite
-        vac = GRFV([0.0, 0.0], np.eye(2), np.zeros((2, 2)))
-        with pytest.raises(NotPositiveDefinite, match="H1 \\+ H2"):
-            combine(vac, vac)
-        possibilistic = GRFV([0.0, 0.0], np.zeros((2, 2)), np.eye(2))
-        with pytest.raises(NotPositiveDefinite, match="Sigma1 \\+ Sigma2"):
-            combine(possibilistic, possibilistic)
-        half = GRFV([0.0, 0.0], np.diag([1.0, 0.0]), np.eye(2))
-        with pytest.raises(NotPositiveDefinite, match="Sigma1 \\+ Sigma2"):
-            combine(half, half)
+        # the contract is H1 + H2 positive definite: sources vacuous on one coordinate fail it
+        for h in (np.zeros((2, 2)), np.diag([1.0, 0.0])):
+            vac = GRFV([0.0, 0.0], np.eye(2), h)
+            with pytest.raises(NotPositiveDefinite, match="H1 \\+ H2"):
+                combine(vac, vac)
+
+    def test_possibilistic_inputs_combine_coordinatewise(self):
+        # Sigma1 + Sigma2 = 0: the modes are known, only the precisions blur them
+        g1 = GRFV([0.0, 1.0], np.zeros((2, 2)), np.diag([1.0, 2.0]))
+        g2 = GRFV([1.0, 0.5], np.zeros((2, 2)), np.diag([0.5, 1.0]))
+        f = combine(g1, g2)
+        fns = [combine_1d(GRFN(a, 0.0, ha), GRFN(b, 0.0, hb))
+               for a, ha, b, hb in ((0.0, 1.0, 1.0, 0.5), (1.0, 2.0, 0.5, 1.0))]
+        assert_allclose(f.combined.mu, [fn.combined.mu for fn in fns], rtol=1e-14)
+        np.testing.assert_array_equal(f.combined.Sigma, np.zeros((2, 2)))
+        assert 1.0 - f.kappa == pytest.approx(np.prod([1.0 - fn.kappa for fn in fns]), rel=1e-13)
+
+    def test_gfv_product_is_the_possibilistic_combination(self):
+        rng = np.random.default_rng(17)
+        for p in (1, 2, 5):
+            m1, m2 = rng.normal(size=p), rng.normal(size=p)
+            h1, h2 = random_spd(rng, p), random_spd(rng, p)
+            f = combine(GRFV(m1, np.zeros((p, p)), h1), GRFV(m2, np.zeros((p, p)), h2))
+            r = product(GFV(m1, h1), GFV(m2, h2))
+            assert r.height == pytest.approx(1.0 - f.kappa, rel=1e-12)
+            assert_allclose(r.product.mode, f.combined.mu, rtol=1e-13, atol=1e-14)
+            assert_allclose(r.product.precision, f.combined.H, rtol=1e-15)
+
+    def test_overflow_is_a_typed_error_or_the_limit(self):
+        g = GRFV([0.0, 1.0], 1e160 * np.eye(2), 1e160 * np.eye(2))
+        x = np.array([0.5, 0.5])
+        for call in (lambda: combine(g, g).kappa, lambda: g.contour(x),
+                     lambda: g.contour(np.array([x, x]))):
+            with np.errstate(over="ignore"):
+                try:
+                    value = call()
+                except ErfsError:
+                    continue
+            assert np.all(np.isfinite(value))
 
     def test_one_sided_semidefinite_inputs_combine(self):
         rng = np.random.default_rng(61)
@@ -184,6 +219,20 @@ class TestCombine:
             for f in (combine(g, other), combine(other, g)):
                 assert 0.0 <= f.kappa < 1.0
                 assert np.all(np.linalg.eigvalsh(f.combined.Sigma) > 0.0)
+
+    def test_badly_scaled_coordinates_combine_coordinatewise(self):
+        # the second coordinate in units 1e6 times smaller: H scales by 1e-12 and more
+        for h_small in (1e-13, 1e-20):
+            d1 = [(0.5, 0.5, 1.0), (2e6, 0.7e12, h_small)]
+            d2 = [(-0.4, 1.5, 2.0), (-1e6, 0.2e12, 3 * h_small)]
+            g1 = GRFV(*(np.array(a) if i == 0 else np.diag(a) for i, a in enumerate(zip(*d1))))
+            g2 = GRFV(*(np.array(a) if i == 0 else np.diag(a) for i, a in enumerate(zip(*d2))))
+            f = combine(g1, g2)
+            fns = [combine_1d(GRFN(*a), GRFN(*b)) for a, b in zip(d1, d2)]
+            assert_allclose(f.combined.mu, [fn.combined.mu for fn in fns], rtol=1e-12)
+            assert_allclose(np.diag(f.combined.Sigma), [fn.combined.sigma2 for fn in fns], rtol=1e-12)
+            assert_allclose(np.diag(f.combined.H), [fn.combined.h for fn in fns], rtol=1e-12)
+            assert 1.0 - f.kappa == pytest.approx(np.prod([1.0 - fn.kappa for fn in fns]), rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
@@ -280,22 +329,41 @@ class TestMarginalizeExtend:
         assert_allclose(back.H, g.H, atol=1e-12)
 
     def test_singular_nonzero_block(self):
+        # range(H21) lies in range(H22) = span(1, 1): the pseudo-inverse complement
         h = np.array([
             [2.0, 0.5, 0.5],
             [0.5, 1.0, 1.0],
             [0.5, 1.0, 1.0],
         ])
-        with pytest.raises(SingularBlock):
-            GRFV([0.0] * 3, np.eye(3), h).marginalize(1)
+        m = GRFV([0.0] * 3, np.eye(3), h).marginalize(1)
+        assert m.H[0, 0] == pytest.approx(1.75, abs=1e-14)
+
+    @pytest.mark.parametrize("unit", [1.0, 3e-7, 1e-150, 1e100])
+    def test_complement_does_not_depend_on_trailing_units(self, unit):
+        # H = D H0 D with the last coordinate in other units; the exact complement is 1 - 0.95^2
+        h0 = np.array([[1.0, 0.0, 0.95], [0.0, 1.0, 0.0], [0.95, 0.0, 1.0]])
+        d = np.diag([1.0, 1.0, unit])
+        m = GRFV(np.zeros(3), np.eye(3), d @ h0 @ d).marginalize(1)
+        assert m.H[0, 0] == pytest.approx(1.0 - 0.95**2, rel=1e-12)
+
+    def test_coupled_ill_conditioned_block_raises(self):
+        # PSD, but the trailing block's small eigenvalue (1e-14) lies under the rank cut while
+        # its coupling to x1 carries a quarter of the complement: 1 - (0.5e-7)^2 / 1e-14 = 0.75
+        r = math.sqrt(0.5)
+        q = np.array([[1.0, 0.0, 0.0], [0.0, r, r], [0.0, r, -r]])
+        h = q @ np.array([[1.0, 0.0, 0.5e-7], [0.0, 2.0, 0.0], [0.5e-7, 0.0, 1e-14]]) @ q.T
+        with pytest.raises(SingularBlock, match="coupled"):
+            GRFV(np.zeros(3), np.eye(3), h).marginalize(1)
+
+    def test_partly_vacuous_trailing_block(self):
+        m = GRFV(np.zeros(3), np.eye(3), np.diag([1.0, 1.0, 0.0])).marginalize(1)
+        np.testing.assert_array_equal(m.H, [[1.0]])
 
     def test_extension_contour_constant_in_new_coords(self):
         g = GRFV([1.0], [[1.0]], [[2.0]]).vacuous_extend(1)
-        # precision is singular, so evaluate membership of a realized mode instead
-        from erfs.fuzzy import GFV
-
-        f = GFV(g.mu, g.H)
-        vals = [f.membership(np.array([0.2, t])) for t in (-9.0, 0.0, 9.0)]
+        vals = [g.contour(np.array([0.2, t])) for t in (-9.0, 0.0, 9.0)]
         assert vals[0] == vals[1] == vals[2]
+        assert vals[0] == pytest.approx(GRFN(1.0, 1.0, 2.0).contour(0.2), rel=1e-14)
 
 
 class TestNoninteractive:
@@ -339,3 +407,65 @@ class TestPermuteAndJson:
     def test_errors_name_fields(self):
         with pytest.raises(DomainError, match="H"):
             GRFV.from_dict({"mu": [0.0], "Sigma": [[1.0]]})
+
+
+# ---------------------------------------------------------------------------
+# diagonal GRFVs with semidefinite Sigma and H reduce to their coordinates
+
+_LOG_CUTOFF = math.log(1e-15)
+_finite_or_zero = st.one_of(st.just(0.0), st.floats(0.05, 4.0))
+
+
+@st.composite
+def _diagonal_pair(draw):
+    """Two noninteractive sources: each sigma2 in {0, finite}; each h finite,
+    or 0 in exactly one source."""
+    p = draw(st.integers(1, 4))
+    coords = []
+    for _ in range(p):
+        h1, h2 = draw(st.floats(0.05, 4.0)), draw(st.floats(0.05, 4.0))
+        vacuous = draw(st.sampled_from((None, 0, 1)))
+        if vacuous == 0:
+            h1 = 0.0
+        elif vacuous == 1:
+            h2 = 0.0
+        coords.append(tuple(GRFN(draw(st.floats(-1.5, 1.5)), draw(_finite_or_zero), h) for h in (h1, h2)))
+    return coords
+
+
+def _grfv(numbers) -> GRFV:
+    return GRFV([n.mu for n in numbers], np.diag([n.sigma2 for n in numbers]),
+                np.diag([n.h for n in numbers]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_diagonal_pair(), st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4))
+def test_diagonal_semidefinite_pairs_match_the_scalar_algebra(coords, x):
+    p = len(coords)
+    x = np.array(x[:p])
+    firsts, seconds = [c[0] for c in coords], [c[1] for c in coords]
+    g1, g2 = _grfv(firsts), _grfv(seconds)
+    for g, numbers in ((g1, firsts), (g2, seconds)):
+        want = math.prod(n.contour(xi) for n, xi in zip(numbers, x))
+        assert g.contour(x) == pytest.approx(want, rel=1e-12, abs=1e-300)
+        if p > 1:
+            m = g.marginalize(p - 1)
+            assert_allclose(m.H, g.H[:-1, :-1], rtol=1e-15)
+            assert_allclose(m.Sigma, g.Sigma[:-1, :-1], rtol=1e-15)
+
+    log1mk = math.fsum(log_one_minus_kappa(a, b) for a, b in coords)
+    assume(abs(log1mk - _LOG_CUTOFF) > 1e-6)
+    with mock.patch.object(grfv, "conflict_degree", wraps=grfv.conflict_degree) as decided:
+        if log1mk < _LOG_CUTOFF:
+            with pytest.raises(ContradictoryEvidence):
+                combine(g1, g2)
+            return
+        f = combine(g1, g2)
+    assert decided.call_args.args[0] == pytest.approx(log1mk, rel=1e-12, abs=1e-15)
+    fns = [combine_1d(a, b).combined for a, b in coords]
+    for got, want in ((f.combined.mu, [n.mu for n in fns]),
+                      (f.combined.Sigma, np.diag([n.sigma2 for n in fns])),
+                      (f.combined.H, np.diag([n.h for n in fns]))):
+        assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    want = math.prod(n.contour(xi) for n, xi in zip(fns, x))
+    assert f.combined.contour(x) == pytest.approx(want, rel=1e-10, abs=1e-300)

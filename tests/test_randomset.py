@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from erfs.errors import DomainError, PracticalRejection
 from erfs.fuzzy import GFN
-from erfs.grfn import GRFN, combine, vacuous
+from erfs.grfn import GRFN, TriangularGaussian, combine, vacuous
 from erfs.interval import Interval
 from erfs.randomset import (
     ConditionalGaussianIntervalSampler,
@@ -26,7 +26,6 @@ from erfs.randomset import (
     oracle_suite,
     soft_conditioning_sampler,
     triangular_gaussian_cdf_bounds,
-    triangular_gaussian_contour,
     triangular_gaussian_expectation_bounds,
 )
 from erfs._normal import Phi
@@ -299,7 +298,7 @@ class TestTriangularClosedForms:
     def test_contour_against_quadrature(self):
         for x in (-0.5, 0.0, 1.2):
             ref = triangular_contour_by_mode_integration(0.0, 1.0, 1.5, x)
-            assert triangular_gaussian_contour(0.0, 1.0, 1.5, x) == pytest.approx(ref, abs=1e-10)
+            assert TriangularGaussian(0.0, 1.0, 1.5).contour(x) == pytest.approx(ref, abs=1e-10)
 
     def test_expectations(self):
         assert triangular_gaussian_expectation_bounds(2.0, 1.0) == (1.5, 2.5)
