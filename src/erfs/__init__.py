@@ -4,9 +4,15 @@ Gaussian fuzzy numbers and vectors, Gaussian random fuzzy numbers and
 vectors, generalized product-intersection combination with degrees of
 conflict, likelihood-based evidence, and a Monte-Carlo random-set oracle
 validating every closed form.
+
+The scalar layer (``fuzzy``, ``grfn``) imports without numpy.  ``grfv``,
+``inference``, ``randomset`` and the names they define are imported on
+first access (PEP 562), so they load numpy only for code that uses them.
 """
 
-from . import fuzzy, grfn, grfv, inference, randomset
+import importlib
+
+from . import fuzzy, grfn
 from .errors import (
     ContradictoryEvidence,
     DomainError,
@@ -17,9 +23,18 @@ from .errors import (
 )
 from .fuzzy import GFN, GFV, ProductResult
 from .grfn import GRFN, GrfnFusion, GrfnKind
-from .grfv import GRFV, GrfvFusion
 from .interval import Interval, WHOLE_LINE
-from .randomset import MCConfig, MCEstimate
+
+# lazy name -> the submodule that defines it (``None`` for the submodule itself)
+_LAZY = {
+    "grfv": None,
+    "inference": None,
+    "randomset": None,
+    "GRFV": "grfv",
+    "GrfvFusion": "grfv",
+    "MCConfig": "randomset",
+    "MCEstimate": "randomset",
+}
 
 __version__ = "0.1.0"
 
@@ -48,3 +63,18 @@ __all__ = [
     "inference",
     "randomset",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _LAZY[name]
+    value = importlib.import_module(f".{module or name}", __name__)
+    if module is not None:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

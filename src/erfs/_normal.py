@@ -7,8 +7,8 @@ the package inherits its accuracy from this one function.  A Python float
 float; anything else goes elementwise through ``scipy.special.ndtr``.  Both
 are within 1e-15 absolute of the exact cdf over the whole real line, and
 they agree with each other to that tolerance, though not always to the
-last bit.  scipy is imported on the first array call, so scalar closed
-forms never load it.
+last bit.  numpy and scipy are imported on the first array call
+(``load_numpy``, ``_scipy_special``), so scalar closed forms load neither.
 
 ``phi_over`` generalizes ``Phi((num) / (den))`` to the degenerate scale
 ``den == 0``, where the Gaussian cdf collapses to a unit step (with value
@@ -18,7 +18,8 @@ objects (zero mode variance) reduce to, so callers never divide by zero.
 The closed forms take a Python float or an array.  ``as_points``,
 ``exp``, ``maximum``, ``minimum`` and ``as_output`` let one formula serve
 both: a float stays a float and is computed with ``math``, an array goes
-through numpy.
+through numpy.  ``constant`` and ``indicator`` are the float-or-array forms
+of ``full_like`` and ``x == at``.
 """
 
 from __future__ import annotations
@@ -26,10 +27,16 @@ from __future__ import annotations
 import functools
 import math
 
-import numpy as np
-
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2 = math.sqrt(2.0)
+
+
+@functools.cache
+def load_numpy():
+    """numpy, imported on the first call: only array branches call this."""
+    import numpy
+
+    return numpy
 
 
 def is_scalar(x) -> bool:
@@ -39,7 +46,7 @@ def is_scalar(x) -> bool:
 
 def as_points(x):
     """A Python float for scalar input, a float ndarray otherwise."""
-    return float(x) if is_scalar(x) else np.asarray(x, dtype=float)
+    return float(x) if is_scalar(x) else load_numpy().asarray(x, dtype=float)
 
 
 def as_output(v):
@@ -47,16 +54,26 @@ def as_output(v):
     return v if getattr(v, "ndim", 0) else float(v)
 
 
+def constant(x, value: float):
+    """``value`` at every point of ``x`` (a float or a float array)."""
+    return value if is_scalar(x) else load_numpy().full_like(x, value)
+
+
+def indicator(x, at: float):
+    """1.0 where ``x == at``, else 0.0 (a float or a float array)."""
+    return float(x == at) if is_scalar(x) else (x == at).astype(float)
+
+
 def exp(v):
-    return math.exp(v) if is_scalar(v) else np.exp(v)
+    return math.exp(v) if is_scalar(v) else load_numpy().exp(v)
 
 
 def maximum(v, bound: float):
-    return max(v, bound) if is_scalar(v) else np.maximum(v, bound)
+    return max(v, bound) if is_scalar(v) else load_numpy().maximum(v, bound)
 
 
 def minimum(v, bound: float):
-    return min(v, bound) if is_scalar(v) else np.minimum(v, bound)
+    return min(v, bound) if is_scalar(v) else load_numpy().minimum(v, bound)
 
 
 def where_nan(v, fill):
@@ -64,6 +81,7 @@ def where_nan(v, fill):
     array shaped like ``v``)."""
     if is_scalar(v):
         return fill if v != v else v
+    np = load_numpy()
     return np.where(np.isnan(v), fill, v)
 
 
@@ -81,7 +99,7 @@ def quiet_on_arrays(method):
     def quiet(self, x):
         if is_scalar(x):
             return method(self, x)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with load_numpy().errstate(over="ignore", invalid="ignore"):
             return method(self, x)
 
     return quiet
@@ -110,6 +128,9 @@ def phi(z):
 def step(t):
     """Unit step with value 1/2 at 0: the sigma -> 0 limit of Phi(t/sigma)."""
     t = as_points(t)
+    if is_scalar(t):
+        return (t > 0.0) + 0.5 * (t == 0.0)
+    np = load_numpy()
     return as_output(np.greater(t, 0.0) + 0.5 * np.equal(t, 0.0))
 
 
@@ -121,5 +142,5 @@ def phi_over(num, den):
     if den > 0.0:
         if is_scalar(num):
             return Phi(num / den)
-        return as_output(Phi(np.asarray(num, dtype=float) / den))
+        return as_output(Phi(as_points(num) / den))
     return step(num)

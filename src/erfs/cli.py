@@ -10,8 +10,15 @@ and ``plotdata`` read a GFN as the GRFN with zero mode variance.
 
 Grids are written ``start:stop:step``; the stop value is included when it
 falls on the grid (within half a step).  Grid parts and ``--at`` values
-must be finite.  ``ERFS_SEED`` overrides ``--seed`` for the Monte-Carlo
-commands.
+must be finite, and a grid has at most ``MAX_GRID_POINTS`` (10^6) points.
+``ERFS_SEED`` overrides ``--seed`` for the Monte-Carlo commands.
+
+Imports follow the query.  A GFN, GRFN or triangular document answered
+without an array (``cdf --at``, ``belpl``, ``combine``, ``conflict``,
+``expect``, ``eval``) runs on ``math`` alone and loads no numpy.  numpy is
+loaded by the array queries (``cdf --grid``, ``plotdata``), by vector
+documents (``gfv``, ``grfv``) and by ``mc-check``; scipy only by the array
+queries, for the normal cdf.
 
 Exit codes: 0 success, 1 fully conflicting evidence, 2 argument or
 validation errors, 3 Monte-Carlo cross-check failure.
@@ -20,24 +27,36 @@ validation errors, 3 Monte-Carlo cross-check failure.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
 import sys
 
-import numpy as np
-
-from . import fuzzy, grfn, grfv, randomset
+from . import fuzzy, grfn
 from .errors import ContradictoryEvidence, ErfsError
-from .fuzzy import GFN, GFV
+from .fuzzy import GFN
 from .grfn import GRFN, TriangularGaussian
-from .grfv import GRFV
 from .interval import Interval
 
-# document ``type`` -> model; each model has ``from_dict`` and ``to_dict``
-_TYPES = {"gfn": GFN, "gfv": GFV, "grfn": GRFN, "grfv": GRFV,
-          "triangular-gaussian": TriangularGaussian}
-_KINDS = {model: kind for kind, model in _TYPES.items()}
+# document ``type`` -> (erfs module, model); each model has ``from_dict`` and
+# ``to_dict``.  A model's module is imported when a document of its type is read,
+# so the vector types load numpy only for vector documents.
+_TYPES = {"gfn": ("fuzzy", "GFN"), "gfv": ("fuzzy", "GFV"), "grfn": ("grfn", "GRFN"),
+          "grfv": ("grfv", "GRFV"), "triangular-gaussian": ("grfn", "TriangularGaussian")}
+_KINDS = {model: kind for kind, (_, model) in _TYPES.items()}
+
+# the largest grid ``parse_grid`` builds; a larger one is an argument error
+MAX_GRID_POINTS = 1_000_000
+
+
+def _model(kind: str):
+    module, model = _TYPES[kind]
+    return getattr(importlib.import_module(f".{module}", __package__), model)
+
+
+def _kind(doc) -> str:
+    return _KINDS[type(doc).__name__]
 
 
 def parse_document(d: dict):
@@ -46,14 +65,13 @@ def parse_document(d: dict):
     kind = d.get("type")
     if kind is None:
         raise ErfsError("missing field 'type'")
-    model = _TYPES.get(kind) if isinstance(kind, str) else None
-    if model is None:
+    if not isinstance(kind, str) or kind not in _TYPES:
         raise ErfsError(f"field 'type' must be one of {tuple(_TYPES)}, got '{kind}'")
-    return model.from_dict(d)
+    return _model(kind).from_dict(d)
 
 
 def document_to_dict(obj) -> dict:
-    return {"type": _KINDS[type(obj)], **obj.to_dict()}
+    return {"type": _kind(obj), **obj.to_dict()}
 
 
 def load_document(path: str):
@@ -94,7 +112,14 @@ def _resolve_document(args):
     return load_document(args.document)
 
 
-def parse_grid(text: str) -> np.ndarray:
+def parse_grid(text: str) -> list[float]:
+    """The points of ``start:stop:step`` as Python floats.
+
+    Bit for bit the points of ``np.arange(start, stop + step/2, step)``: its
+    length, its first two points ``start`` and ``start + step``, then
+    ``start + i*delta`` with ``delta = (start + step) - start``.  Raises
+    ``ErfsError`` when the grid has more than ``MAX_GRID_POINTS`` points.
+    """
     parts = text.split(":")
     if len(parts) != 3:
         raise ErfsError(f"field 'grid' must be start:stop:step, got '{text}'")
@@ -104,10 +129,25 @@ def parse_grid(text: str) -> np.ndarray:
         raise ErfsError(f"field 'grid' has non-numeric parts: '{text}'") from exc
     if step <= 0.0 or stop < start:
         raise ErfsError("field 'grid' requires start <= stop and step > 0")
-    return np.arange(start, stop + 0.5 * step, step)
+    count = (stop + 0.5 * step - start) / step
+    if not count <= MAX_GRID_POINTS:  # also an overflowing count (inf)
+        raise ErfsError(f"field 'grid' has more than {MAX_GRID_POINTS} points: '{text}'")
+    n = math.ceil(count)
+    second = start + step
+    delta = second - start
+    return [start, second][:n] + [start + i * delta for i in range(2, n)]
 
 
-def _mc_config(args) -> randomset.MCConfig:
+def _grid_array(text: str):
+    """``parse_grid`` as an ndarray, for the queries that take arrays."""
+    import numpy as np
+
+    return np.array(parse_grid(text))
+
+
+def _mc_config(args):
+    from .randomset import MCConfig
+
     seed = args.seed
     env = os.environ.get("ERFS_SEED")
     if env is not None:
@@ -115,7 +155,7 @@ def _mc_config(args) -> randomset.MCConfig:
             seed = int(env)
         except ValueError as exc:
             raise ErfsError(f"ERFS_SEED must be an integer, got '{env}'") from exc
-    return randomset.MCConfig(seed=seed, samples=args.samples, workers=args.workers)
+    return MCConfig(seed=seed, samples=args.samples, workers=args.workers)
 
 
 def _print_json(obj) -> None:
@@ -123,6 +163,8 @@ def _print_json(obj) -> None:
 
 
 def _print_csv(header: str, *columns) -> None:
+    import numpy as np
+
     print(header)
     for row in zip(*(np.atleast_1d(c) for c in columns)):
         print(",".join(f"{v:.12g}" for v in row))
@@ -134,7 +176,7 @@ def _print_csv(header: str, *columns) -> None:
 
 def _cmd_eval(args) -> int:
     doc = _resolve_document(args)
-    vector = isinstance(doc, (GFV, GRFV))
+    vector = _kind(doc) in ("gfv", "grfv")
     for x in _points(args):
         v = doc.contour(_vector(x, doc.dim) if vector else _finite(x))
         label = x if isinstance(x, str) else f"{float(x):.12g}"
@@ -146,7 +188,7 @@ def _points(args):
     if args.grid is not None:
         if args.at:
             raise ErfsError("give either --at or --grid, not both")
-        return list(parse_grid(args.grid))
+        return parse_grid(args.grid)
     if not args.at:
         raise ErfsError("missing query points: use --at or --grid")
     return args.at
@@ -159,7 +201,9 @@ def _finite(text, flag: str = "--at") -> float:
     return x
 
 
-def _vector(text, dim: int) -> np.ndarray:
+def _vector(text, dim: int):
+    import numpy as np
+
     try:
         v = np.array([_finite(p) for p in str(text).split(",")])
     except ValueError as exc:
@@ -184,12 +228,15 @@ def _closed_form(doc, what: str):
 
 def _combine_pair(a, b):
     """Combine two documents; returns (combined document, kappa)."""
-    if type(a) is type(b) and isinstance(a, (GFN, GFV)):
+    kinds = {_kind(a), _kind(b)}
+    if kinds in ({"gfn"}, {"gfv"}):
         r = fuzzy.product(a, b)
         return r.product, 1.0 - r.height
-    if {type(a), type(b)} <= {GFN, GRFN}:
+    if kinds <= {"gfn", "grfn"}:
         f = grfn.combine(_lift_grfn(a), _lift_grfn(b))
-    elif type(a) is type(b) is GRFV:
+    elif kinds == {"grfv"}:
+        from . import grfv
+
         f = grfv.combine(a, b)
     else:
         raise ErfsError(
@@ -230,7 +277,7 @@ def _cmd_belpl(args) -> int:
 def _cmd_cdf(args) -> int:
     doc = _closed_form(_resolve_document(args), "cdf")
     if args.grid is not None:
-        xs = parse_grid(args.grid)
+        xs = _grid_array(args.grid)
         _print_csv("x,lower,upper", xs, *doc.cdf_bounds(xs))
     else:
         if args.at is None:
@@ -256,6 +303,8 @@ def _cmd_conflict(args) -> int:
 
 
 def _cmd_mc_check(args) -> int:
+    from . import randomset
+
     cfg = _mc_config(args)
     checks = randomset.oracle_suite(cfg)
     failures = 0
@@ -280,7 +329,7 @@ def _cmd_plotdata(args) -> int:
         doc = _resolve_document(args)
     if args.grid is None:
         raise ErfsError("missing --grid for plotdata")
-    xs = parse_grid(args.grid)
+    xs = _grid_array(args.grid)
     lower, upper = _closed_form(doc, "cdf").cdf_bounds(xs)
     _print_csv("x,lower,upper,contour", xs, lower, upper, doc.contour(xs))
     return 0

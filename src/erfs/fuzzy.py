@@ -13,19 +13,23 @@ product of two Gaussian memberships is a Gaussian membership rescaled by
 its height, and the height has a closed form.  Heights are computed in
 log-space and exponentiated only at the boundary, so widely separated
 modes give tiny-but-exact heights instead of underflowing intermediates.
+
+``GFN`` runs on ``math`` alone.  ``GFV`` loads numpy and ``_linalg`` when
+one is built or combined, so importing this module loads neither.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from ._normal import as_output, as_points, exp
-from ._linalg import check_psd, parallel_sum, schur_complement_keep_leading
+from ._normal import as_output, as_points, constant, exp, indicator, load_numpy
 from .errors import ContradictoryEvidence, DomainError
 from .interval import Interval
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "GFN",
@@ -67,9 +71,9 @@ class GFN:
         """Degree of membership of ``x``; scalar in, scalar out."""
         x = as_points(x)
         if self.precision == 0.0:
-            out = np.ones_like(x)
+            out = constant(x, 1.0)
         elif math.isinf(self.precision):
-            out = np.asarray(x == self.mode, dtype=float)
+            out = indicator(x, self.mode)
         else:
             d = x - self.mode
             out = exp(-0.5 * self.precision * d * d)
@@ -112,6 +116,9 @@ class GFV:
     precision: np.ndarray
 
     def __post_init__(self):
+        from ._linalg import check_psd
+
+        np = load_numpy()
         mode = np.atleast_1d(np.asarray(self.mode, dtype=float))
         if mode.ndim != 1 or not np.all(np.isfinite(mode)):
             raise DomainError("GFV mode must be a finite real vector")
@@ -129,6 +136,7 @@ class GFV:
 
     def membership(self, x):
         """Membership at point ``x`` (shape ``(p,)``) or points (shape ``(n, p)``)."""
+        np = load_numpy()
         x = np.asarray(x, dtype=float)
         d = x - self.mode
         if d.ndim == 1:
@@ -140,6 +148,8 @@ class GFV:
 
     def project(self, keep: int) -> "GFV":
         """Project onto the leading ``keep`` coordinates (sup over the rest)."""
+        from ._linalg import schur_complement_keep_leading
+
         h11 = schur_complement_keep_leading(self.precision, keep)
         return GFV(self.mode[:keep], h11)
 
@@ -149,6 +159,7 @@ class GFV:
             raise DomainError(f"k must be >= 0, got {k}")
         if k == 0:
             return self
+        np = load_numpy()
         p = self.dim
         mode = np.concatenate([self.mode, np.zeros(k)])
         h = np.zeros((p + k, p + k))
@@ -157,7 +168,7 @@ class GFV:
 
     def permute(self, perm) -> "GFV":
         perm = _check_perm(perm, self.dim)
-        return GFV(self.mode[perm], self.precision[np.ix_(perm, perm)])
+        return GFV(self.mode[perm], self.precision[load_numpy().ix_(perm, perm)])
 
     def to_dict(self) -> dict:
         return {"mode": self.mode.tolist(), "precision": self.precision.tolist()}
@@ -168,6 +179,7 @@ class GFV:
             raise DomainError("missing field 'mode'")
         if "precision" not in d:
             raise DomainError("missing field 'precision'")
+        np = load_numpy()
         return cls(np.asarray(d["mode"], dtype=float), np.asarray(d["precision"], dtype=float))
 
 
@@ -245,6 +257,8 @@ def _gfv_product(g1: GFV, g2: GFV) -> ProductResult:
     mode ``m1 + A2 (m2 - m1)``, log height ``-1/2 d^T Hbar d``."""
     if g1.dim != g2.dim:
         raise DomainError(f"dimension mismatch: {g1.dim} vs {g2.dim}")
+    from ._linalg import parallel_sum
+
     a2, hbar = parallel_sum(g1.precision, g2.precision)
     d = g1.mode - g2.mode
     m12 = g1.mode - a2 @ d
@@ -322,7 +336,7 @@ def _require_extended(d: dict, field: str) -> float:
 
 
 def _check_perm(perm, p: int) -> np.ndarray:
-    perm = np.asarray(perm, dtype=int)
+    perm = load_numpy().asarray(perm, dtype=int)
     if sorted(perm.tolist()) != list(range(p)):
         raise DomainError(f"not a permutation of 0..{p - 1}: {perm.tolist()}")
     return perm

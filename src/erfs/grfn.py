@@ -25,11 +25,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from . import fuzzy
-from ._normal import (Phi, as_output, as_points, exp, maximum, minimum, phi, phi_over,
-                      quiet_on_arrays, where_nan)
+from ._normal import (Phi, as_output, as_points, constant, exp, indicator, maximum, minimum,
+                      phi, phi_over, quiet_on_arrays, where_nan)
 from .errors import ContradictoryEvidence, DomainError
 from .fuzzy import GFN, effective_pair_precision, _require_extended, _require_number
 from .interval import Interval
@@ -103,12 +101,12 @@ class GRFN:
         """
         x = as_points(x)
         if self.h == 0.0:
-            out = np.ones_like(x)
+            out = constant(x, 1.0)
         elif math.isinf(self.h):
             if self.sigma2 > 0.0:
-                out = np.zeros_like(x)
+                out = constant(x, 0.0)
             else:
-                out = np.asarray(x == self.mu, dtype=float)
+                out = indicator(x, self.mu)
         else:
             # h / (1 + h sigma2) in ratio form: finite even when h sigma2 overflows
             hc = 1.0 / (1.0 / self.h + self.sigma2)
@@ -173,7 +171,7 @@ class GRFN:
         """Lower and upper cdf at ``y`` (elementwise): Bel and Pl of ``(-inf, y]``."""
         y = as_points(y)
         if self.h == 0.0:
-            lower, upper = np.zeros_like(y), np.ones_like(y)
+            lower, upper = constant(y, 0.0), constant(y, 1.0)
         elif math.isinf(self.h):
             lower = upper = phi_over(y - self.mu, math.sqrt(self.sigma2))
         else:
@@ -248,7 +246,7 @@ class TriangularGaussian:
         x = as_points(x)
         mu, sigma, a = self.mu, self.sigma, self.a
         if a == 0.0:
-            return as_output(np.zeros_like(x))
+            return as_output(constant(x, 0.0))
         d = x - mu
         z_minus = (d - a) / sigma
         z0 = d / sigma

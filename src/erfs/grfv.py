@@ -74,7 +74,9 @@ class GRFV:
         ``q = (H d)^T M^-1 d``; ``M`` is nonsingular for any PSD ``Sigma``
         and ``H``, and a zero ``H`` gives the constant 1.
         """
-        m = as_matrix(np.eye(self.dim) + self.Sigma @ self.H, "I + Sigma H")
+        with np.errstate(over="ignore", invalid="ignore"):  # as_matrix rejects an overflow
+            sh = self.Sigma @ self.H
+        m = as_matrix(np.eye(self.dim) + sh, "I + Sigma H")
         log_norm = -0.5 * np.linalg.slogdet(m)[1]
         x = np.asarray(x, dtype=float)
         d = x - self.mu
@@ -204,7 +206,9 @@ def combine(g1: GRFV, g2: GRFV) -> GrfvFusion:
     a2, hbar = parallel_sum(g1.H, g2.H)
 
     s1, s2 = g1.Sigma, g2.Sigma
-    m = np.eye(p) + hbar @ (s1 + s2)
+    with np.errstate(over="ignore", invalid="ignore"):  # conflict_degree rejects an overflow
+        hs = hbar @ (s1 + s2)
+    m = np.eye(p) + hs
     d = g1.mu - g2.mu
     # d^T G d without forming G: a rejected fusion stops after one vector solve
     log_det = np.linalg.slogdet(m)[1]

@@ -54,7 +54,7 @@ class Sample:
 
     @property
     def mean(self) -> float:
-        return float(np.mean(self.observations))
+        return math.fsum(self.observations) / self.n
 
     @classmethod
     def from_text(cls, text: str) -> "Sample":

@@ -23,6 +23,10 @@ class TestSample:
         s = Sample((1.0, 2.0, 3.0))
         assert s.n == 3 and s.mean == 2.0
 
+    def test_mean_is_exactly_rounded(self):
+        # a running float sum loses the 1.0 between the cancelling terms
+        assert Sample((1e16, 1.0, -1e16)).mean == 1.0 / 3.0
+
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             Sample(())

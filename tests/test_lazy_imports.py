@@ -1,10 +1,14 @@
-"""scipy is loaded only where arrays need it, and ``scipy.linalg`` never.
+"""numpy, scipy and the Monte-Carlo engine load only where they are needed.
 
-Each test runs a fresh interpreter, since this test process has long
-imported scipy through other tests.
+A scalar ``erfs`` call (a GRFN, GFN or triangular document, no array)
+imports neither numpy nor scipy nor ``concurrent.futures``; array queries
+load ``scipy.special`` but never ``scipy.linalg``.  Each test runs a fresh
+interpreter, since this test process has long imported all of them
+through other tests.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,24 +17,52 @@ import erfs
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(erfs.__file__)))
 
+# prints the last output line: ``result`` plus the heavy modules loaded so far
+REPORT = r"""
+import json, sys
+result = globals().get("result", {})
+result["loaded"] = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")
+                          or m.startswith("concurrent.futures"))
+result["scipy"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps(result))
+"""
+
+IMPORT_ONLY = "import erfs\n" + REPORT
+
 CLI_SCALAR_CALLS = r"""
 import json, os, sys, tempfile
 from erfs.cli import main
 
 d = tempfile.mkdtemp()
 paths = []
-for i, (mu, s2, h) in enumerate([(0.0, 1.0, 1.0), (0.5, 0.5, 2.0)]):
+for i, (mu, s2, h) in enumerate([(0.0, 1.0, 1.0), (0.5, 0.5, 2.0), (-1.0, 0.3, 0.5)]):
     paths.append(os.path.join(d, f"{i}.json"))
     with open(paths[-1], "w") as fh:
         json.dump({"type": "grfn", "mu": mu, "sigma2": s2, "h": h}, fh)
 codes = [
     main(["cdf", paths[0], "--at", "0.3"]),
     main(["belpl", paths[0], "--lo", "-1", "--hi", "1"]),
-    main(["combine", paths[0], paths[1]]),
+    main(["combine", *paths]),
+    main(["conflict", paths[0], paths[1]]),
+    main(["expect", paths[0]]),
     main(["eval", paths[0], "--grid", "-2:2:0.5"]),
+    main(["eval", "--type", "gfn", "--mode", "0", "--precision", "2", "--at", "0.5"]),
 ]
-print(json.dumps({"codes": codes,
-                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+result = {"codes": codes}
+""" + REPORT
+
+LAZY_NAMES = r"""
+import json, sys
+import erfs
+before = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")[:1]
+resolved = {name: getattr(erfs, name) is not None for name in erfs.__all__}
+listed = [name for name in erfs.__all__ if name not in dir(erfs)]
+from erfs import GRFV, MCConfig, randomset
+from erfs.fuzzy import GFV, product
+print(json.dumps({"before": before, "resolved": all(resolved.values()), "missing_dir": listed,
+                  "grfv": GRFV is erfs.grfv.GRFV, "mc": MCConfig is randomset.MCConfig,
+                  "gfv": erfs.fuzzy.GFV is GFV is erfs.GFV,
+                  "height": product(GFV([0.0], [[1.0]]), GFV([1.0], [[1.0]])).height}))
 """
 
 VECTOR_MODELS = r"""
@@ -59,10 +91,32 @@ def _run(script: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def test_import_erfs_loads_no_numpy_scipy_or_futures():
+    assert _run(IMPORT_ONLY)["loaded"] == []
+
+
 def test_scalar_cli_calls_never_import_scipy():
+    # nor numpy, nor concurrent.futures
     out = _run(CLI_SCALAR_CALLS)
-    assert out["codes"] == [0, 0, 0, 0]
-    assert out["scipy"] == []
+    assert out["codes"] == [0] * 7
+    assert out["loaded"] == []
+
+
+def test_lazy_names_resolve_and_are_listed():
+    out = _run(LAZY_NAMES)
+    assert out["before"] == []          # getattr below is what loads numpy
+    assert out["resolved"] and out["missing_dir"] == []
+    assert out["grfv"] and out["mc"] and out["gfv"]
+    assert abs(out["height"] - math.exp(-0.25)) < 1e-15
+
+
+def test_grid_query_loads_scipy_special_only():
+    script = ("from erfs.cli import main\n"
+              "main(['cdf', '--type', 'grfn', '--mu', '0', '--sigma2', '1', '--h', '1',"
+              " '--grid', '-1:1:0.5'])\n" + REPORT)
+    out = _run(script)
+    assert "scipy.special" in out["scipy"]
+    assert not any(m.startswith("scipy.linalg") for m in out["scipy"])
 
 
 def test_vector_models_never_import_scipy_linalg():
