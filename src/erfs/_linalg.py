@@ -41,10 +41,13 @@ def as_matrix(a, name: str) -> np.ndarray:
 
 def check_symmetric(a: np.ndarray, name: str) -> np.ndarray:
     scale = max(np.abs(a).max(), 1.0)
-    if np.abs(a - a.T).max() > SYM_RTOL * scale:
+    with np.errstate(over="ignore"):  # an overflowing difference is inf and fails the test
+        skew = a.T - a
+    if np.abs(skew).max() > SYM_RTOL * scale:
         raise NotPositiveDefinite(f"{name} is not symmetric to relative tolerance {SYM_RTOL}")
-    # symmetrize exactly so downstream factorizations see a symmetric matrix
-    return 0.5 * (a + a.T)
+    # the midpoint of a and a.T, formed without a + a.T, which overflows above
+    # about 9e307; an exactly symmetric a comes back bit-identical
+    return a + 0.5 * skew
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray | None:

@@ -138,13 +138,6 @@ def parse_grid(text: str) -> list[float]:
     return [start, second][:n] + [start + i * delta for i in range(2, n)]
 
 
-def _grid_array(text: str):
-    """``parse_grid`` as an ndarray, for the queries that take arrays."""
-    import numpy as np
-
-    return np.array(parse_grid(text))
-
-
 def _mc_config(args):
     from .randomset import MCConfig
 
@@ -277,7 +270,7 @@ def _cmd_belpl(args) -> int:
 def _cmd_cdf(args) -> int:
     doc = _closed_form(_resolve_document(args), "cdf")
     if args.grid is not None:
-        xs = _grid_array(args.grid)
+        xs = parse_grid(args.grid)
         _print_csv("x,lower,upper", xs, *doc.cdf_bounds(xs))
     else:
         if args.at is None:
@@ -329,7 +322,7 @@ def _cmd_plotdata(args) -> int:
         doc = _resolve_document(args)
     if args.grid is None:
         raise ErfsError("missing --grid for plotdata")
-    xs = _grid_array(args.grid)
+    xs = parse_grid(args.grid)
     lower, upper = _closed_form(doc, "cdf").cdf_bounds(xs)
     _print_csv("x,lower,upper,contour", xs, lower, upper, doc.contour(xs))
     return 0

@@ -139,9 +139,10 @@ class GFV:
         np = load_numpy()
         x = np.asarray(x, dtype=float)
         d = x - self.mode
-        if d.ndim == 1:
-            return float(np.exp(-0.5 * d @ self.precision @ d))
-        q = np.einsum("ij,jk,ik->i", d, self.precision, d)
+        with np.errstate(over="ignore"):  # an overflowing quadratic form is inf: membership 0
+            if d.ndim == 1:
+                return float(np.exp(-0.5 * d @ self.precision @ d))
+            q = np.einsum("ij,jk,ik->i", d, self.precision, d)
         return np.exp(-0.5 * q)
 
     contour = membership

@@ -207,12 +207,11 @@ def combine(g1: GRFV, g2: GRFV) -> GrfvFusion:
 
     s1, s2 = g1.Sigma, g2.Sigma
     with np.errstate(over="ignore", invalid="ignore"):  # conflict_degree rejects an overflow
-        hs = hbar @ (s1 + s2)
-    m = np.eye(p) + hs
-    d = g1.mu - g2.mu
-    # d^T G d without forming G: a rejected fusion stops after one vector solve
-    log_det = np.linalg.slogdet(m)[1]
-    kappa = conflict_degree(-0.5 * log_det - 0.5 * float(d @ np.linalg.solve(m, hbar @ d)))
+        d = g1.mu - g2.mu
+        m = np.eye(p) + hbar @ (s1 + s2)
+        # d^T G d without forming G: a rejected fusion stops after one vector solve
+        log1mk = -0.5 * np.linalg.slogdet(m)[1] - 0.5 * float(d @ np.linalg.solve(m, hbar @ d))
+    kappa = conflict_degree(log1mk)
 
     g = np.linalg.solve(m, hbar)
     g = 0.5 * (g + g.T)

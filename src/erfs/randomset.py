@@ -11,8 +11,10 @@ forms themselves live with their model types.
 Randomness contract
 -------------------
 Streams are counter-based (Philox), keyed by ``(seed, stream-tag,
-block-index)`` with a fixed block size.  Workers split work by block and
-partial results are reduced in block order, so every estimate is
+block-index)`` with a fixed block size.  Workers split work by block.
+Every estimator is one call of ``_mc_means``: a block reduces each of its
+per-sample statistics to (sum, sum of squares, count, min, max), and the
+block summaries are merged in block order, so every estimate is
 bit-identical for a fixed ``(seed, samples)`` regardless of the worker
 count.  ``alpha`` is drawn uniformly on (0, 1], matching the uniform
 mixing measure over cuts that defines belief and plausibility of a random
@@ -97,23 +99,29 @@ def _block_rng(seed: int, tag: str, block: int) -> np.random.Generator:
 def _run_blocks(cfg: MCConfig, tag: str, block_fn):
     """Run ``block_fn(rng, n)`` over all blocks; results in block order."""
     nblocks = (cfg.samples + BLOCK_SIZE - 1) // BLOCK_SIZE
-    sizes = [min(BLOCK_SIZE, cfg.samples - i * BLOCK_SIZE) for i in range(nblocks)]
-    results = [None] * nblocks
 
     def work(i: int):
-        results[i] = block_fn(_block_rng(cfg.seed, tag, i), sizes[i])
+        return block_fn(_block_rng(cfg.seed, tag, i), min(BLOCK_SIZE, cfg.samples - i * BLOCK_SIZE))
 
     if cfg.workers == 1 or nblocks == 1:
-        for i in range(nblocks):
-            work(i)
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            list(pool.map(work, range(nblocks)))
-    return results
+        return [work(i) for i in range(nblocks)]
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        return list(pool.map(work, range(nblocks)))
 
 
-def _mean_stderr(total: float, total_sq: float, n: int, lo=None, hi=None) -> MCEstimate:
-    if lo is not None and lo == hi:
+def _summary(x: np.ndarray) -> tuple:
+    """(sum, sum of squares, count, min, max) of one sample; empty gives min > max.
+    A boolean ``x`` (an indicator) needs one count; (1, 0) is its empty range."""
+    n = x.shape[0]
+    if x.dtype == bool:
+        k = float(np.count_nonzero(x))
+        return k, k, n, float(k == n), float(k > 0)
+    return (float(np.sum(x)), float(np.sum(x * x)), n,
+            float(x.min(initial=np.inf)), float(x.max(initial=-np.inf)))
+
+
+def _mean_stderr(total: float, total_sq: float, n: int, lo: float, hi: float) -> MCEstimate:
+    if lo == hi:
         # constant sample (no randomness): exact value, zero error
         return MCEstimate(lo, 0.0, n)
     mean = total / n
@@ -121,9 +129,28 @@ def _mean_stderr(total: float, total_sq: float, n: int, lo=None, hi=None) -> MCE
     return MCEstimate(mean, math.sqrt(var / n), n)
 
 
-def _binomial(count: float, n: int) -> MCEstimate:
-    p = count / n
-    return MCEstimate(p, math.sqrt(max(p * (1.0 - p), 0.0) / n), n)
+def _mc_means(cfg: MCConfig, tag: str, stats) -> tuple[MCEstimate, ...]:
+    """Sample means of the statistics ``stats(rng, n)`` returns for one block.
+
+    ``stats`` draws one block and returns arrays of equal length, one value
+    per realized sample (a boolean array for an indicator).  Each block is
+    reduced to one ``_summary`` per array; the summaries are merged in
+    block order, so the estimates do not depend on the worker count.
+    """
+    parts = _run_blocks(cfg, tag, lambda rng, n: [_summary(x) for x in stats(rng, n)])
+    return tuple(
+        _mean_stderr(sum(t), sum(q), sum(n), min(lo), max(hi))
+        for t, q, n, lo, hi in (zip(*blocks) for blocks in zip(*parts))
+    )
+
+
+def _gaussian_height(h: float, d: np.ndarray) -> np.ndarray:
+    """``exp(-h d^2 / 2)`` at offsets ``d``: 1 for ``h = 0``, ``d == 0`` for ``h = inf``."""
+    if h == 0.0:
+        return np.ones_like(d)
+    if math.isinf(h):
+        return (d == 0.0).astype(float)
+    return np.exp(-0.5 * h * d * d)
 
 
 class FuzzySampler(ABC):
@@ -178,13 +205,7 @@ class GrfnSampler(FuzzySampler):
         return modes - r, modes + r
 
     def membership(self, modes, x):
-        h = self.g.h
-        if h == 0.0:
-            return np.ones_like(modes)
-        if math.isinf(h):
-            return (modes == x).astype(float)
-        d = x - modes
-        return np.exp(-0.5 * h * d * d)
+        return _gaussian_height(self.g.h, x - modes)
 
 
 class TriangularGaussianSampler(FuzzySampler):
@@ -261,21 +282,19 @@ class ConditionalGaussianIntervalSampler(_IntervalSampler):
         self.mu1, self.sigma1 = float(mu1), float(sigma1)
         self.mu2, self.sigma2 = float(mu2), float(sigma2)
 
-    def realize(self, rng, n):
+    def _propose(self, rng, n):
         x1 = self.mu1 + self.sigma1 * rng.standard_normal(n)
         x2 = self.mu2 + self.sigma2 * rng.standard_normal(n)
-        keep = x1 <= x2
+        return x1, x2, x1 <= x2
+
+    def realize(self, rng, n):
+        x1, x2, keep = self._propose(rng, n)
         return x1[keep], x2[keep]
 
     def rejection_rate(self, cfg: MCConfig) -> MCEstimate:
-        def block(rng, n):
-            lo, _ = self.realize(rng, n)
-            return n - lo.shape[0], n
-
-        parts = _run_blocks(cfg, "rays-rejection", block)
-        rejected = sum(p[0] for p in parts)
-        total = sum(p[1] for p in parts)
-        return _binomial(rejected, total)
+        """Share of proposal pairs that ``realize`` rejects."""
+        return _mc_means(cfg, "rays-rejection",
+                         lambda rng, n: [~self._propose(rng, n)[2]])[0]
 
 
 def _draw_alphas(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -297,30 +316,15 @@ def mc_bel_pl(sampler: FuzzySampler, b: Interval, cfg: MCConfig) -> tuple[MCEsti
         m = sampler.n_realized(state)
         alphas = _draw_alphas(rng, m)
         lo, hi = sampler.cut_bounds(state, alphas)
-        bel = np.count_nonzero((lo >= b.lo) & (hi <= b.hi))
-        pl = np.count_nonzero((lo <= b.hi) & (hi >= b.lo))
-        return bel, pl, m
+        return [(lo >= b.lo) & (hi <= b.hi), (lo <= b.hi) & (hi >= b.lo)]
 
-    parts = _run_blocks(cfg, "bel-pl", block)
-    bel = sum(p[0] for p in parts)
-    pl = sum(p[1] for p in parts)
-    n = sum(p[2] for p in parts)
-    return _binomial(bel, n), _binomial(pl, n)
+    return _mc_means(cfg, "bel-pl", block)
 
 
 def mc_contour(sampler: FuzzySampler, x: float, cfg: MCConfig) -> MCEstimate:
     """Pointwise plausibility: mean realized membership at ``x``."""
-
-    def block(rng, n):
-        state = sampler.realize(rng, n)
-        m = sampler.membership(state, x)
-        return float(np.sum(m)), float(np.sum(m * m)), m.shape[0], float(np.min(m)), float(np.max(m))
-
-    parts = _run_blocks(cfg, "contour", block)
-    total = sum(p[0] for p in parts)
-    total_sq = sum(p[1] for p in parts)
-    n = sum(p[2] for p in parts)
-    return _mean_stderr(total, total_sq, n, min(p[3] for p in parts), max(p[4] for p in parts))
+    return _mc_means(cfg, "contour",
+                     lambda rng, n: [sampler.membership(sampler.realize(rng, n), x)])[0]
 
 
 def mc_expectation_bounds(sampler: FuzzySampler, cfg: MCConfig) -> tuple[MCEstimate, MCEstimate]:
@@ -331,39 +335,16 @@ def mc_expectation_bounds(sampler: FuzzySampler, cfg: MCConfig) -> tuple[MCEstim
         m = sampler.n_realized(state)
         alphas = _draw_alphas(rng, m)
         lo, hi = sampler.cut_bounds(state, alphas)
-        unbounded = not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)))
-        if unbounded:
-            return None
-        return (
-            float(np.sum(lo)), float(np.sum(lo * lo)),
-            float(np.sum(hi)), float(np.sum(hi * hi)), m,
-            float(np.min(lo)), float(np.max(lo)), float(np.min(hi)), float(np.max(hi)),
-        )
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise DomainError("a realized alpha-cut is unbounded; expectations undefined")
+        return [lo, hi]
 
-    parts = _run_blocks(cfg, "expectation", block)
-    if any(p is None for p in parts):
-        raise DomainError("a realized alpha-cut is unbounded; expectations undefined")
-    n = sum(p[4] for p in parts)
-    e_low = _mean_stderr(
-        sum(p[0] for p in parts), sum(p[1] for p in parts), n,
-        min(p[5] for p in parts), max(p[6] for p in parts),
-    )
-    e_high = _mean_stderr(
-        sum(p[2] for p in parts), sum(p[3] for p in parts), n,
-        min(p[7] for p in parts), max(p[8] for p in parts),
-    )
-    return e_low, e_high
+    return _mc_means(cfg, "expectation", block)
 
 
 def _pair_heights(s1, s2, st1, st2) -> np.ndarray:
     if isinstance(s1, GrfnSampler) and isinstance(s2, GrfnSampler):
-        hbar = effective_pair_precision(s1.g.h, s2.g.h)
-        d = st1 - st2
-        if hbar == 0.0:
-            return np.ones_like(d)
-        if math.isinf(hbar):
-            return (d == 0.0).astype(float)
-        return np.exp(-0.5 * hbar * d * d)
+        return _gaussian_height(effective_pair_precision(s1.g.h, s2.g.h), st1 - st2)
     if isinstance(s1, _IntervalSampler) and isinstance(s2, _IntervalSampler):
         lo1, hi1 = st1
         lo2, hi2 = st2
@@ -379,14 +360,9 @@ def mc_conflict(s1: FuzzySampler, s2: FuzzySampler, cfg: MCConfig, height=None) 
     def block(rng, n):
         st1 = s1.realize(rng, n)
         st2 = s2.realize(rng, n)
-        w = height(st1, st2) if height is not None else _pair_heights(s1, s2, st1, st2)
-        return float(np.sum(w)), float(np.sum(w * w)), w.shape[0], float(np.min(w)), float(np.max(w))
+        return [height(st1, st2) if height is not None else _pair_heights(s1, s2, st1, st2)]
 
-    parts = _run_blocks(cfg, "conflict", block)
-    consistency = _mean_stderr(
-        sum(p[0] for p in parts), sum(p[1] for p in parts), sum(p[2] for p in parts),
-        min(p[3] for p in parts), max(p[4] for p in parts),
-    )
+    (consistency,) = _mc_means(cfg, "conflict", block)
     return MCEstimate(1.0 - consistency.value, consistency.stderr, consistency.n)
 
 
@@ -415,8 +391,7 @@ class SoftConditioningSample:
         return s * s / s2 if s2 > 0.0 else 0.0
 
     def mean_weight(self) -> MCEstimate:
-        w = self.weights
-        return _mean_stderr(float(np.sum(w)), float(np.sum(w * w)), self.n)
+        return _mean_stderr(*_summary(self.weights))
 
     def _weighted_mean(self, x: np.ndarray) -> MCEstimate:
         w = self.weights
@@ -471,15 +446,11 @@ def soft_conditioning_sampler(g1: GRFN, g2: GRFN, cfg: MCConfig) -> SoftConditio
     def block(rng, n):
         m1 = g1.mu + sd1 * rng.standard_normal(n)
         m2 = g2.mu + sd2 * rng.standard_normal(n)
-        d = m1 - m2
-        return m1, m2, np.exp(-0.5 * hbar * d * d)
+        return m1, m2, _gaussian_height(hbar, m1 - m2)
 
+    # the weighted moments need the whole sample: blocks are joined in block order
     parts = _run_blocks(cfg, "soft-conditioning", block)
-    return SoftConditioningSample(
-        np.concatenate([p[0] for p in parts]),
-        np.concatenate([p[1] for p in parts]),
-        np.concatenate([p[2] for p in parts]),
-    )
+    return SoftConditioningSample(*(np.concatenate(arrays) for arrays in zip(*parts)))
 
 
 def dempster_gaussian_rays(mu1, sigma1, mu2, sigma2, cfg: MCConfig):

@@ -450,6 +450,24 @@ def test_overflowing_grids_print_no_warnings(payload, tmp_path):
         assert proc.stdout and not _NON_FINITE_TOKEN.search(proc.stdout)
 
 
+_MAX_SIGMA_GRFV = {"type": "grfv", "mu": [0, 1], "Sigma": [[1e308, 0], [0, 1e308]],
+                   "H": [[1e-10, 0], [0, 1e-10]]}
+
+
+@pytest.mark.parametrize("payload, argv, stdout", [
+    ({"type": "gfv", "mode": [0.25], "precision": [[2.0]]},
+     ["--grid=-1.7e308:-1.6e308:5e307"], "-1.7e+308,0\n"),
+    # Sigma H = 1e298 I: the contour is |I + Sigma H|^(-1/2) exp(-q/2), q about 1e-308
+    (_MAX_SIGMA_GRFV, ["--at", "0,0"], "0,0,1e-298\n"),
+], ids=["gfv-grid", "grfv-max-sigma"])
+def test_overflowing_evaluations_print_no_warnings(payload, argv, stdout, tmp_path):
+    doc = write_doc(tmp_path, "big.json", payload)
+    proc = subprocess.run([sys.executable, "-m", "erfs.cli", "eval", doc, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=_SRC), timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout == stdout
+
+
 def _np_grid(start, stop, step):
     return np.arange(start, stop + 0.5 * step, step)
 
@@ -481,10 +499,16 @@ _HUGE_GRFV = {"type": "grfv", "mu": [0, 1], "Sigma": [[1e160, 0], [0, 1e160]],
 
 def test_overflowing_vector_products_print_only_the_error(tmp_path):
     doc = write_doc(tmp_path, "huge.json", _HUGE_GRFV)
+    big = write_doc(tmp_path, "max_sigma.json", _MAX_SIGMA_GRFV)
+    far = [write_doc(tmp_path, f"far{i}.json", {"type": "grfv", "mu": [m, 0], "Sigma": [[1, 0], [0, 1]],
+                                               "H": [[1, 0], [0, 1]]}) for i, m in enumerate((1e308, -1e308))]
     env = dict(os.environ, PYTHONPATH=_SRC)
     for argv, code, msg in (
         (["eval", doc, "--at", "0.5,0.5"], 2, "I + Sigma H contains non-finite entries"),
         (["combine", doc, doc], 1, "degree of conflict rounds to 1 (log(1 - kappa) = -inf)"),
+        # Sigma1 + Sigma2 overflows, then mu1 - mu2
+        (["combine", big, big], 2, "log(1 - kappa) is NaN: the conflict overflowed"),
+        (["combine", *far], 2, "log(1 - kappa) is NaN: the conflict overflowed"),
     ):
         proc = subprocess.run([sys.executable, "-m", "erfs.cli", *argv], capture_output=True,
                               text=True, env=env, timeout=120)

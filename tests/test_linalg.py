@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from erfs._linalg import PSD_RTOL, SpdFactor, check_psd, parallel_sum, schur_complement_keep_leading
+from erfs._linalg import (PSD_RTOL, SpdFactor, check_psd, check_symmetric, parallel_sum,
+                          schur_complement_keep_leading)
 from erfs.errors import NotPositiveDefinite, SingularBlock
 
 
@@ -69,6 +70,34 @@ def test_random_near_boundary_matrices():
         except NotPositiveDefinite:
             accepted = False
         assert accepted == _eigenvalue_rule(a)
+
+
+class TestCheckSymmetric:
+    def test_symmetric_input_is_returned_bit_identical(self):
+        rng = np.random.default_rng(3)
+        for p in (1, 2, 7, 40):
+            b = rng.standard_normal((p, p)) * 10.0 ** rng.integers(-300, 300, (p, p))
+            a = np.triu(b) + np.triu(b, 1).T
+            assert check_symmetric(a, "A").tobytes() == a.tobytes()
+
+    def test_near_symmetric_input_becomes_the_midpoint(self):
+        a = np.array([[2.0, 1.0], [1.0 + 1e-12, 3.0]])
+        out = check_symmetric(a, "A")
+        np.testing.assert_allclose(out, 0.5 * (a + a.T), rtol=1e-16)
+        assert out[0, 1] == out[1, 0]
+
+    def test_entries_near_the_float_maximum_stay_finite(self):
+        a = np.array([[1e308, 9e307], [9e307 * (1 + 1e-15), 1.7e308]])
+        out = check_symmetric(a, "A")
+        assert np.isfinite(out).all() and out[0, 1] == out[1, 0]
+        np.testing.assert_allclose(out, 0.5 * a + 0.5 * a.T, rtol=1e-15)
+
+    @pytest.mark.parametrize("off", [1.0, 1e308])
+    def test_asymmetric_input_is_rejected(self, off):
+        # the skew of the second matrix overflows to inf, which must fail quietly
+        a = np.array([[1.0, off], [-off, 1.0]])
+        with pytest.raises(NotPositiveDefinite, match="not symmetric"):
+            check_symmetric(a, "A")
 
 
 class TestSpdFactor:

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import erfs.randomset as rs
 from erfs.errors import DomainError, PracticalRejection
 from erfs.fuzzy import GFN
 from erfs.grfn import GRFN, TriangularGaussian, combine, vacuous
 from erfs.interval import Interval
 from erfs.randomset import (
+    BLOCK_SIZE,
     ConditionalGaussianIntervalSampler,
     GaussianLowerRaySampler,
     GaussianUpperRaySampler,
@@ -18,6 +20,8 @@ from erfs.randomset import (
     MCConfig,
     MCEstimate,
     TriangularGaussianSampler,
+    _block_rng,
+    _summary,
     dempster_gaussian_rays,
     mc_bel_pl,
     mc_conflict,
@@ -96,6 +100,52 @@ class TestDeterminism:
         c1, c4 = self._cfgs()
         _, s = dempster_gaussian_rays(0.0, 1.0, 1.0, 1.0, c1)
         assert s.rejection_rate(c1) == s.rejection_rate(c4)
+
+    def test_return_shapes(self):
+        # bel/pl and the expectation bounds are pairs, the rejection rate one estimate
+        cfg = MCConfig(seed=5, samples=20_000)
+        g = GrfnSampler(GRFN(0.0, 1.0, 1.0))
+        _, rays = dempster_gaussian_rays(0.0, 1.0, 1.0, 1.0, cfg)
+        for out in (mc_bel_pl(g, Interval(-1.0, 1.0), cfg), mc_expectation_bounds(g, cfg)):
+            assert type(out) is tuple and len(out) == 2
+            assert all(type(e) is MCEstimate for e in out)
+        assert type(rays.rejection_rate(cfg)) is MCEstimate
+
+    def test_counts_are_exact(self):
+        # indicator means are counts over the realized sample: n is the number of
+        # proposals for the rejection rate and of accepted intervals for bel/pl
+        cfg = MCConfig(seed=9, samples=2 * BLOCK_SIZE + 17, workers=2)
+        _, rays = dempster_gaussian_rays(0.0, 1.0, 1.0, 1.0, cfg)
+        sizes = (BLOCK_SIZE, BLOCK_SIZE, 17)
+        rejected = sum(
+            int(np.count_nonzero(x1 > x2))
+            for x1, x2 in (rays._propose(_block_rng(9, "rays-rejection", i), n)[:2]
+                           for i, n in enumerate(sizes))
+        )
+        rate = rays.rejection_rate(cfg)
+        assert (rate.value, rate.n) == (rejected / cfg.samples, cfg.samples)
+        bel, pl = mc_bel_pl(rays, Interval(-math.inf, math.inf), cfg)
+        assert bel.n == pl.n < cfg.samples
+        assert (bel.value, bel.stderr) == (1.0, 0.0)
+
+    def test_indicator_summary_matches_its_float_form(self):
+        rng = np.random.default_rng(0)
+        for mask in (rng.random(1000) < 0.3, np.ones(7, bool), np.zeros(7, bool)):
+            assert _summary(mask) == _summary(mask.astype(float))
+        # an empty indicator block widens no merged range on {0, 1}
+        assert _summary(np.zeros(0, bool))[3:] == (1.0, 0.0)
+
+    def test_one_stream_per_block(self, monkeypatch):
+        seen = []
+
+        def counted(seed, tag, block):
+            seen.append((tag, block))
+            return _block_rng(seed, tag, block)
+
+        monkeypatch.setattr(rs, "_block_rng", counted)
+        cfg = MCConfig(seed=3, samples=3 * BLOCK_SIZE, workers=2)
+        mc_bel_pl(GrfnSampler(GRFN(0.0, 1.0, 1.0)), Interval(0.0, 1.0), cfg)
+        assert sorted(seen) == [("bel-pl", 0), ("bel-pl", 1), ("bel-pl", 2)]
 
     def test_different_seeds_differ(self):
         g = GrfnSampler(GRFN(0.0, 1.0, 1.0))
@@ -183,9 +233,12 @@ class TestExpectationBounds:
         assert (lo.value, hi.value) == (3.0, 3.0)
         assert lo.stderr == 0.0 and hi.stderr == 0.0
 
-    def test_unbounded_cuts_rejected(self):
-        with pytest.raises(DomainError):
-            mc_expectation_bounds(GrfnSampler(vacuous()), CFG)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unbounded_cuts_rejected(self, workers):
+        # more than one block, so with two workers the error crosses the thread pool
+        cfg = MCConfig(seed=42, samples=2 * BLOCK_SIZE + 1, workers=workers)
+        with pytest.raises(DomainError, match="unbounded"):
+            mc_expectation_bounds(GrfnSampler(vacuous()), cfg)
 
 
 class TestConflict:
@@ -233,6 +286,12 @@ class TestSoftConditioning:
             soft_conditioning_sampler(vacuous(), GRFN(0, 1, 1), CFG)
         with pytest.raises(DomainError):
             soft_conditioning_sampler(GRFN(0, 1, math.inf), GRFN(0, 1, 1), CFG)
+
+    def test_constant_weights_are_exact(self):
+        # possibilistic operands: every pair has the same height, so no sampling error
+        s = soft_conditioning_sampler(GRFN(0.0, 0.0, 1.0), GRFN(1.0, 0.0, 1.0), CFG)
+        w = s.mean_weight()
+        assert (w.value, w.stderr) == (math.exp(-0.25), 0.0)
 
     def test_effective_sample_size(self):
         s = soft_conditioning_sampler(GRFN(0, 1, 1), GRFN(0, 1, 1), MCConfig(seed=3, samples=10_000))
