@@ -21,7 +21,7 @@ from .errors import (
     PracticalRejection,
     SingularBlock,
 )
-from .fuzzy import GFN, GFV, ProductResult
+from .fuzzy import GFN, ProductResult
 from .grfn import GRFN, GrfnFusion, GrfnKind
 from .interval import Interval, WHOLE_LINE
 
@@ -30,6 +30,7 @@ _LAZY = {
     "grfv": None,
     "inference": None,
     "randomset": None,
+    "GFV": "grfv",
     "GRFV": "grfv",
     "GrfvFusion": "grfv",
     "MCConfig": "randomset",

@@ -68,11 +68,11 @@ def check_psd(a: np.ndarray, name: str) -> np.ndarray:
     factorization that succeeds in floating point proves the smallest
     eigenvalue is at least about ``-n * eps * max|a_ii|``, far inside that
     tolerance, so the eigendecomposition runs only when Cholesky fails
-    (singular or indefinite input) and decides those cases exactly as
-    before.
+    on a nonzero matrix (singular or indefinite input; a zero matrix, such
+    as a GFV's ``Sigma``, is PSD) and decides those cases exactly as before.
     """
     a = check_symmetric(as_matrix(a, name), name)
-    if _cholesky(a) is not None:
+    if _cholesky(a) is not None or not a.any():
         return a
     w = np.linalg.eigvalsh(a)
     w_max = max(w[-1], 0.0)

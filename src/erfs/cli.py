@@ -42,7 +42,7 @@ from .interval import Interval
 # document ``type`` -> (erfs module, model); each model has ``from_dict`` and
 # ``to_dict``.  A model's module is imported when a document of its type is read,
 # so the vector types load numpy only for vector documents.
-_TYPES = {"gfn": ("fuzzy", "GFN"), "gfv": ("fuzzy", "GFV"), "grfn": ("grfn", "GRFN"),
+_TYPES = {"gfn": ("fuzzy", "GFN"), "gfv": ("grfv", "GFV"), "grfn": ("grfn", "GRFN"),
           "grfv": ("grfv", "GRFV"), "triangular-gaussian": ("grfn", "TriangularGaussian")}
 _KINDS = {model: kind for kind, (_, model) in _TYPES.items()}
 
@@ -227,7 +227,7 @@ def _combine_pair(a, b):
         return r.product, 1.0 - r.height
     if kinds <= {"gfn", "grfn"}:
         f = grfn.combine(_lift_grfn(a), _lift_grfn(b))
-    elif kinds == {"grfv"}:
+    elif kinds <= {"gfv", "grfv"}:  # a GFV is the GRFV with Sigma = 0
         from . import grfv
 
         f = grfv.combine(a, b)

@@ -4,9 +4,10 @@ A Gaussian fuzzy number ``GFN(m, h)`` is the normal fuzzy subset of the
 real line with membership ``exp(-h/2 (x - m)^2)``; ``m`` is the mode and
 ``h`` in ``[0, +inf]`` the precision.  ``h = 0`` is the maximally imprecise
 whole line, ``h = +inf`` the crisp point ``{m}``.  The vector analogue
-``GFV(m, H)`` uses a symmetric positive-semidefinite precision matrix; the
-product of two GFVs needs only ``H1 + H2`` positive definite, and
-projection holds for any PSD precision.
+``GFV(m, H)`` is the Gaussian random fuzzy vector whose mode does not
+vary, ``GRFV(m, 0, H)``, and lives in :mod:`erfs.grfv`; ``erfs.fuzzy.GFV``
+still resolves to it, and :func:`product` sends a pair of GFVs to
+:func:`erfs.grfv.gfv_product`.
 
 The family is closed under the normalized product intersection: the
 product of two Gaussian memberships is a Gaussian membership rescaled by
@@ -14,22 +15,18 @@ its height, and the height has a closed form.  Heights are computed in
 log-space and exponentiated only at the boundary, so widely separated
 modes give tiny-but-exact heights instead of underflowing intermediates.
 
-``GFN`` runs on ``math`` alone.  ``GFV`` loads numpy and ``_linalg`` when
-one is built or combined, so importing this module loads neither.
+``GFN`` runs on ``math`` alone; :mod:`erfs.grfv` is imported only when a
+``GFV`` is asked for.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from ._normal import as_output, as_points, constant, exp, indicator, load_numpy
+from ._normal import as_output, as_points, constant, exp, indicator
 from .errors import ContradictoryEvidence, DomainError
 from .interval import Interval
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "GFN",
@@ -109,82 +106,6 @@ class GFN:
 
 
 @dataclass(frozen=True)
-class GFV:
-    """Gaussian fuzzy vector with mode vector and PSD precision matrix."""
-
-    mode: np.ndarray
-    precision: np.ndarray
-
-    def __post_init__(self):
-        from ._linalg import check_psd
-
-        np = load_numpy()
-        mode = np.atleast_1d(np.asarray(self.mode, dtype=float))
-        if mode.ndim != 1 or not np.all(np.isfinite(mode)):
-            raise DomainError("GFV mode must be a finite real vector")
-        h = check_psd(self.precision, "GFV precision")
-        if h.shape[0] != mode.shape[0]:
-            raise DomainError(
-                f"GFV mode has dim {mode.shape[0]} but precision is {h.shape}"
-            )
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "precision", h)
-
-    @property
-    def dim(self) -> int:
-        return self.mode.shape[0]
-
-    def membership(self, x):
-        """Membership at point ``x`` (shape ``(p,)``) or points (shape ``(n, p)``)."""
-        np = load_numpy()
-        x = np.asarray(x, dtype=float)
-        d = x - self.mode
-        with np.errstate(over="ignore"):  # an overflowing quadratic form is inf: membership 0
-            if d.ndim == 1:
-                return float(np.exp(-0.5 * d @ self.precision @ d))
-            q = np.einsum("ij,jk,ik->i", d, self.precision, d)
-        return np.exp(-0.5 * q)
-
-    contour = membership
-
-    def project(self, keep: int) -> "GFV":
-        """Project onto the leading ``keep`` coordinates (sup over the rest)."""
-        from ._linalg import schur_complement_keep_leading
-
-        h11 = schur_complement_keep_leading(self.precision, keep)
-        return GFV(self.mode[:keep], h11)
-
-    def cylindrical_extension(self, k: int) -> "GFV":
-        """Extend by ``k`` unconstrained trailing coordinates."""
-        if k < 0:
-            raise DomainError(f"k must be >= 0, got {k}")
-        if k == 0:
-            return self
-        np = load_numpy()
-        p = self.dim
-        mode = np.concatenate([self.mode, np.zeros(k)])
-        h = np.zeros((p + k, p + k))
-        h[:p, :p] = self.precision
-        return GFV(mode, h)
-
-    def permute(self, perm) -> "GFV":
-        perm = _check_perm(perm, self.dim)
-        return GFV(self.mode[perm], self.precision[load_numpy().ix_(perm, perm)])
-
-    def to_dict(self) -> dict:
-        return {"mode": self.mode.tolist(), "precision": self.precision.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GFV":
-        if "mode" not in d:
-            raise DomainError("missing field 'mode'")
-        if "precision" not in d:
-            raise DomainError("missing field 'precision'")
-        np = load_numpy()
-        return cls(np.asarray(d["mode"], dtype=float), np.asarray(d["precision"], dtype=float))
-
-
-@dataclass(frozen=True)
 class ProductResult:
     """Normalized product intersection plus the height of the raw product."""
 
@@ -222,8 +143,10 @@ def product(g1, g2) -> ProductResult:
     """Normalized product intersection of two GFNs or two GFVs."""
     if isinstance(g1, GFN) and isinstance(g2, GFN):
         return _gfn_product(g1, g2)
+    from .grfv import GFV, gfv_product
+
     if isinstance(g1, GFV) and isinstance(g2, GFV):
-        return _gfv_product(g1, g2)
+        return gfv_product(g1, g2)
     raise DomainError("product requires two GFNs or two GFVs")
 
 
@@ -251,20 +174,6 @@ def _gfn_product(g1: GFN, g2: GFN) -> ProductResult:
     h12 = h1 + h2
     m12 = (h1 * m1 + h2 * m2) / h12
     return ProductResult(GFN(m12, h12), height)
-
-
-def _gfv_product(g1: GFV, g2: GFV) -> ProductResult:
-    """The GRFV combination at ``Sigma = 0``, without its conflict cutoff:
-    mode ``m1 + A2 (m2 - m1)``, log height ``-1/2 d^T Hbar d``."""
-    if g1.dim != g2.dim:
-        raise DomainError(f"dimension mismatch: {g1.dim} vs {g2.dim}")
-    from ._linalg import parallel_sum
-
-    a2, hbar = parallel_sum(g1.precision, g2.precision)
-    d = g1.mode - g2.mode
-    m12 = g1.mode - a2 @ d
-    log_height = -0.5 * float(d @ hbar @ d)
-    return ProductResult(GFV(m12, g1.precision + g2.precision), math.exp(log_height))
 
 
 def linear_combination(terms) -> GFN:
@@ -336,8 +245,10 @@ def _require_extended(d: dict, field: str) -> float:
     return float(v)
 
 
-def _check_perm(perm, p: int) -> np.ndarray:
-    perm = load_numpy().asarray(perm, dtype=int)
-    if sorted(perm.tolist()) != list(range(p)):
-        raise DomainError(f"not a permutation of 0..{p - 1}: {perm.tolist()}")
-    return perm
+def __getattr__(name: str):
+    # PEP 562: ``GFV`` is defined in erfs.grfv, imported on first use
+    if name != "GFV":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .grfv import GFV
+
+    return GFV

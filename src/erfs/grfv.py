@@ -4,7 +4,11 @@
 ``H`` whose mode is a Gaussian random vector ``N(mu, Sigma)``.  Both
 matrices need only be positive semidefinite: a zero block of ``H`` is a
 vacuous extension (nothing asserted about those coordinates), a zero
-``Sigma`` a possibilistic vector.
+``Sigma`` a possibilistic vector.  The Gaussian fuzzy vector
+``GFV(mode, precision)`` is that possibilistic vector,
+``GRFV(mode, 0, precision)``: its membership is the contour, its
+projection the marginal, and :func:`gfv_product` is :func:`combine` at
+``Sigma = 0`` without the conflict cutoff.
 
 :func:`combine`, :meth:`GRFV.contour` and :meth:`GRFV.marginalize` hold
 for any PSD ``Sigma`` and ``H``.  Combination and contour factor, by LU,
@@ -19,6 +23,7 @@ vacuous extension fuses with evidence on the missing coordinates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,10 +38,10 @@ from ._linalg import (  # noqa: F401 - perfbench's traced run patches SpdFactor 
     schur_complement_keep_leading,
 )
 from .errors import DomainError
-from .fuzzy import _check_perm
+from .fuzzy import ProductResult
 from .grfn import conflict_degree
 
-__all__ = ["GRFV", "GrfvFusion", "GrfvIntermediates", "combine"]
+__all__ = ["GFV", "GRFV", "GrfvFusion", "GrfvIntermediates", "combine", "gfv_product"]
 
 _DIAG_RTOL = 1e-12
 
@@ -47,17 +52,23 @@ class GRFV:
     Sigma: np.ndarray
     H: np.ndarray
 
+    # the document's fields; the names of mu, Sigma and H in error messages,
+    # and the dimension-mismatch message
+    _FIELDS = ("mu", "Sigma", "H")
+    _NAMES = ("mu", "Sigma", "H", "inconsistent dimensions: mu {p}, Sigma {s}, H {h}")
+
     def __post_init__(self):
+        mu_name, sigma_name, h_name, dims = self._NAMES
         mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
         if mu.ndim != 1 or not np.all(np.isfinite(mu)):
-            raise DomainError("mu must be a finite real vector")
-        sigma = check_psd(self.Sigma, "Sigma")
-        h = check_psd(self.H, "H")
+            raise DomainError(f"{mu_name} must be a finite real vector")
         p = mu.shape[0]
+        if p == 0:
+            raise DomainError(f"{mu_name} must have at least one coordinate")
+        sigma = check_psd(self.Sigma, sigma_name)
+        h = check_psd(self.H, h_name)
         if sigma.shape[0] != p or h.shape[0] != p:
-            raise DomainError(
-                f"inconsistent dimensions: mu {p}, Sigma {sigma.shape}, H {h.shape}"
-            )
+            raise DomainError(dims.format(p=p, s=sigma.shape, h=h.shape))
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "Sigma", sigma)
         object.__setattr__(self, "H", h)
@@ -72,18 +83,27 @@ class GRFV:
 
         ``(H^-1 + Sigma)^-1 = H M^-1`` with ``M = I + Sigma H``, so
         ``q = (H d)^T M^-1 d``; ``M`` is nonsingular for any PSD ``Sigma``
-        and ``H``, and a zero ``H`` gives the constant 1.
+        and ``H``, and a zero ``H`` gives the constant 1.  The offset is
+        formed halved, ``e = x/2 - mu/2``, which is exact and finite for
+        finite inputs, and ``q = 4 (H e)^T M^-1 e``: an offset that
+        overflows in a vacuous coordinate drops out, a ``q`` that overflows
+        is inf (contour 0), and a NaN or ``-inf`` ``q`` (``q >= 0`` in exact
+        arithmetic) raises :class:`DomainError`.
         """
         with np.errstate(over="ignore", invalid="ignore"):  # as_matrix rejects an overflow
             sh = self.Sigma @ self.H
         m = as_matrix(np.eye(self.dim) + sh, "I + Sigma H")
         log_norm = -0.5 * np.linalg.slogdet(m)[1]
-        x = np.asarray(x, dtype=float)
-        d = x - self.mu
-        if d.ndim == 1:
-            return float(np.exp(log_norm - 0.5 * (self.H @ d) @ np.linalg.solve(m, d)))
-        q = np.einsum("ij,ji->i", d @ self.H, np.linalg.solve(m, d.T))
-        return np.exp(log_norm - 0.5 * q)
+        e = 0.5 * np.asarray(x, dtype=float) - 0.5 * self.mu
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+            if e.ndim == 1:
+                q = (self.H @ e) @ np.linalg.solve(m, e)
+            else:
+                q = np.einsum("ij,ji->i", e @ self.H, np.linalg.solve(m, e.T))
+        if not np.all(q > -np.inf):
+            raise DomainError("the contour's quadratic form overflowed to NaN or -inf")
+        out = np.exp(log_norm - 2.0 * q)
+        return float(out) if e.ndim == 1 else out
 
     def marginalize(self, keep: int) -> "GRFV":
         """Marginal on the leading ``keep`` coordinates: the kept block's
@@ -119,27 +139,54 @@ class GRFV:
         return _is_diagonal(self.Sigma) and _is_diagonal(self.H)
 
     def permute(self, perm) -> "GRFV":
-        perm = _check_perm(perm, self.dim)
+        perm = np.asarray(perm, dtype=int)
+        if sorted(perm.tolist()) != list(range(self.dim)):
+            raise DomainError(f"not a permutation of 0..{self.dim - 1}: {perm.tolist()}")
         ix = np.ix_(perm, perm)
         return GRFV(self.mu[perm], self.Sigma[ix], self.H[ix])
 
     def to_dict(self) -> dict:
-        return {
-            "mu": self.mu.tolist(),
-            "Sigma": self.Sigma.tolist(),
-            "H": self.H.tolist(),
-        }
+        return {field: getattr(self, field).tolist() for field in self._FIELDS}
 
     @classmethod
     def from_dict(cls, d: dict) -> "GRFV":
-        for field in ("mu", "Sigma", "H"):
+        for field in cls._FIELDS:
             if field not in d:
                 raise DomainError(f"missing field '{field}'")
-        return cls(
-            np.asarray(d["mu"], dtype=float),
-            np.asarray(d["Sigma"], dtype=float),
-            np.asarray(d["H"], dtype=float),
-        )
+        return cls(*(np.asarray(d[field], dtype=float) for field in cls._FIELDS))
+
+
+class GFV(GRFV):
+    """Gaussian fuzzy vector: ``GRFV(mode, 0, precision)``, whose mode does
+    not vary; ``mode`` and ``precision`` are ``mu`` and ``H``."""
+
+    # Sigma is zeros shaped like the precision, so its checks name the precision
+    _FIELDS = ("mode", "precision")
+    _NAMES = ("GFV mode", "GFV precision", "GFV precision",
+              "GFV mode has dim {p} but precision is {h}")
+
+    def __init__(self, mode, precision):
+        precision = np.asarray(precision, dtype=float)
+        super().__init__(mode, np.zeros_like(precision), precision)
+
+    mode = property(lambda self: self.mu)
+    precision = property(lambda self: self.H)
+    membership = GRFV.contour
+
+    def project(self, keep: int) -> "GFV":
+        """Project onto the leading ``keep`` coordinates (sup over the rest)."""
+        return _as_gfv(self.marginalize(keep))
+
+    def cylindrical_extension(self, k: int) -> "GFV":
+        """Extend by ``k`` unconstrained trailing coordinates."""
+        return _as_gfv(self.vacuous_extend(k))
+
+    def permute(self, perm) -> "GFV":
+        return _as_gfv(super().permute(perm))
+
+
+def _as_gfv(g: GRFV) -> GFV:
+    return GFV(g.mu, g.H)
 
 
 def _is_diagonal(a: np.ndarray) -> bool:
@@ -230,3 +277,16 @@ def combine(g1: GRFV, g2: GRFV) -> GrfvFusion:
     combined = GRFV(mu12, sigma12, g1.H + g2.H)
     inter = GrfvIntermediates(mu_tilde, sigma_tilde, hbar, a)
     return GrfvFusion(combined, kappa, inter)
+
+
+def gfv_product(g1: GFV, g2: GFV) -> ProductResult:
+    """Normalized product intersection of two GFVs: :func:`combine` at
+    ``Sigma = 0`` without its conflict cutoff.  Mode ``m1 - A2 (m1 - m2)``,
+    precision ``H1 + H2``, log height ``-1/2 d^T Hbar d``."""
+    if g1.dim != g2.dim:
+        raise DomainError(f"dimension mismatch: {g1.dim} vs {g2.dim}")
+    a2, hbar = parallel_sum(g1.H, g2.H)
+    d = g1.mu - g2.mu
+    m12 = g1.mu - a2 @ d
+    log_height = -0.5 * float(d @ hbar @ d)
+    return ProductResult(GFV(m12, g1.H + g2.H), math.exp(log_height))

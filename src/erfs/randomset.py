@@ -349,18 +349,16 @@ def _pair_heights(s1, s2, st1, st2) -> np.ndarray:
         lo1, hi1 = st1
         lo2, hi2 = st2
         return ((lo1 <= hi2) & (lo2 <= hi1)).astype(float)
-    raise DomainError(
-        "no closed-form pair height for these samplers; pass height= explicitly"
-    )
+    raise DomainError("no closed-form pair height for these samplers")
 
 
-def mc_conflict(s1: FuzzySampler, s2: FuzzySampler, cfg: MCConfig, height=None) -> MCEstimate:
+def mc_conflict(s1: FuzzySampler, s2: FuzzySampler, cfg: MCConfig) -> MCEstimate:
     """Degree of conflict: one minus the mean height of independent pair products."""
 
     def block(rng, n):
         st1 = s1.realize(rng, n)
         st2 = s2.realize(rng, n)
-        return [height(st1, st2) if height is not None else _pair_heights(s1, s2, st1, st2)]
+        return [_pair_heights(s1, s2, st1, st2)]
 
     (consistency,) = _mc_means(cfg, "conflict", block)
     return MCEstimate(1.0 - consistency.value, consistency.stderr, consistency.n)

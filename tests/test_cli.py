@@ -379,6 +379,56 @@ class TestDispatchMatrix:
         assert out == "" and err.startswith("error:")
 
 
+# what a gfv document's validation prints: GFV names its fields mode and precision
+_INVALID_GFV_DOCS = {
+    '{"mode": [NaN, 0], "precision": [[1, 0], [0, 1]]}': "GFV mode must be a finite real vector",
+    '{"mode": [[0, 1]], "precision": [[1, 0], [0, 1]]}': "GFV mode must be a finite real vector",
+    '{"mode": [0, 1], "precision": [[1, 0, 0], [0, 1, 0]]}':
+        "GFV precision must be a square matrix, got shape (2, 3)",
+    '{"mode": [0, 1], "precision": [1, 1]}': "GFV precision must be a square matrix, got shape (2,)",
+    '{"mode": [0, 1], "precision": [[1, 0.5], [0, 1]]}':
+        "GFV precision is not symmetric to relative tolerance 1e-10",
+    '{"mode": [0, 1], "precision": [[1, 2], [2, 1]]}':
+        "GFV precision has eigenvalue -1.000e+00 below the PSD tolerance",
+    '{"mode": [0, 1], "precision": [[1, NaN], [NaN, 1]]}': "GFV precision contains non-finite entries",
+    '{"mode": [0, 1], "precision": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}':
+        "GFV mode has dim 2 but precision is (3, 3)",
+    '{"mode": [], "precision": []}': "GFV mode must have at least one coordinate",
+}
+
+
+@pytest.mark.parametrize("fields", sorted(_INVALID_GFV_DOCS))
+def test_invalid_gfv_documents_name_gfv_fields(fields, tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text('{"type": "gfv", ' + fields[1:])
+    assert _run(["eval", str(p), "--at", "0,0"], capsys) == (2, "", f"error: {_INVALID_GFV_DOCS[fields]}\n")
+
+
+def test_empty_grfv_document_is_a_validation_error(tmp_path, capsys):
+    doc = write_doc(tmp_path, "empty.json", {"type": "grfv", "mu": [], "Sigma": [], "H": []})
+    assert _run(["eval", doc, "--at", "0"], capsys) == (2, "", "error: mu must have at least one coordinate\n")
+
+
+@pytest.mark.parametrize("command", ["combine", "conflict"])
+def test_gfv_fuses_with_grfv_as_zero_sigma_grfv(command, tmp_path, capsys):
+    from erfs import grfv
+
+    mode, precision = [0.0, 1.0], [[2.0, 0.5], [0.5, 1.0]]
+    v = write_doc(tmp_path, "v.json", {"type": "gfv", "mode": mode, "precision": precision})
+    g = grfv.GRFV([0.5, 0.0], [[1.0, 0.2], [0.2, 0.5]], np.eye(2))
+    r = write_doc(tmp_path, "r.json", {"type": "grfv", **g.to_dict()})
+    lifted = grfv.GRFV(mode, np.zeros((2, 2)), precision)
+    for docs, (a, b) in (([v, r], (lifted, g)), ([r, v], (g, lifted))):
+        f = grfv.combine(a, b)
+        code, out, err = _run([command, *docs], capsys)
+        assert code == 0 and err == ""
+        if command == "conflict":
+            assert json.loads(out) == {"kappa": f.kappa}
+        else:
+            assert out == f"step 1: kappa={f.kappa:.12g}\n" + json.dumps(
+                {"type": "grfv", **f.combined.to_dict()}) + "\n"
+
+
 class TestNonFiniteQueryPoints:
     @pytest.mark.parametrize("command", [
         "eval --at nan", "eval --at 0 --at inf", "cdf --at nan", "cdf --at inf",
@@ -459,7 +509,12 @@ _MAX_SIGMA_GRFV = {"type": "grfv", "mu": [0, 1], "Sigma": [[1e308, 0], [0, 1e308
      ["--grid=-1.7e308:-1.6e308:5e307"], "-1.7e+308,0\n"),
     # Sigma H = 1e298 I: the contour is |I + Sigma H|^(-1/2) exp(-q/2), q about 1e-308
     (_MAX_SIGMA_GRFV, ["--at", "0,0"], "0,0,1e-298\n"),
-], ids=["gfv-grid", "grfv-max-sigma"])
+    # x - mu overflows; the quadratic form overflows to inf, not to NaN
+    ({"type": "grfv", "mu": [1e308, 0], "Sigma": [[1, 0], [0, 1]], "H": [[1, 0], [0, 1]]},
+     ["--at=-1e308,0"], "-1e308,0,0\n"),
+    ({"type": "gfv", "mode": [1e308, 0], "precision": [[1, 0], [0, 1]]},
+     ["--at=-1e308,0"], "-1e308,0,0\n"),
+], ids=["gfv-grid", "grfv-max-sigma", "grfv-offset", "gfv-offset"])
 def test_overflowing_evaluations_print_no_warnings(payload, argv, stdout, tmp_path):
     doc = write_doc(tmp_path, "big.json", payload)
     proc = subprocess.run([sys.executable, "-m", "erfs.cli", "eval", doc, *argv], capture_output=True,

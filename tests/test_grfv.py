@@ -38,6 +38,79 @@ class TestConstruction:
         g = GRFV([0.0, 0.0], np.eye(2), np.zeros((2, 2)))
         assert g.dim == 2
 
+    def test_empty_vectors_rejected(self):
+        with pytest.raises(DomainError, match="^mu must have at least one coordinate$"):
+            GRFV(np.zeros(0), np.zeros((0, 0)), np.zeros((0, 0)))
+        with pytest.raises(DomainError, match="^GFV mode must have at least one coordinate$"):
+            GFV(np.zeros(0), np.zeros((0, 0)))
+        with pytest.raises(DomainError, match="^GFV mode must have at least one coordinate$"):
+            GFV.from_dict({"mode": [], "precision": []})
+
+
+class TestGfvIsGrfv:
+    """A GFV is the GRFV with Sigma = 0: same contour, marginal and fusion."""
+
+    def test_subclass_and_aliases(self):
+        h = np.array([[2.0, 0.5], [0.5, 1.0]])
+        g = GFV([1.0, -2.0], h)
+        assert isinstance(g, GRFV) and type(g) is GFV
+        assert g.mode is g.mu and g.precision is g.H
+        np.testing.assert_array_equal(g.Sigma, np.zeros((2, 2)))
+        x = np.array([[0.5, 0.0], [3.0, -1.0]])
+        np.testing.assert_array_equal(g.membership(x), GRFV(g.mu, np.zeros((2, 2)), h).contour(x))
+        assert g.to_dict() == {"mode": [1.0, -2.0], "precision": h.tolist()}
+
+    def test_operations_return_gfvs(self):
+        g = GFV([1.0, -2.0], [[2.0, 0.5], [0.5, 1.0]])
+        assert type(g.project(1)) is GFV
+        assert type(g.cylindrical_extension(1)) is GFV
+        assert type(g.permute([1, 0])) is GFV
+        assert type(product(g, g).product) is GFV
+
+    def test_combine_accepts_a_gfv(self):
+        g = GRFV([0.5, 0.0], [[1.0, 0.2], [0.2, 0.5]], np.eye(2))
+        v = GFV([0.0, 1.0], [[2.0, 0.5], [0.5, 1.0]])
+        for a, b in ((v, g), (g, v)):
+            f = combine(a, b)
+            lifted = [GRFV(x.mu, x.Sigma, x.H) for x in (a, b)]
+            ref = combine(*lifted)
+            assert type(f.combined) is GRFV and f.kappa == ref.kappa
+            np.testing.assert_array_equal(f.combined.mu, ref.combined.mu)
+            np.testing.assert_array_equal(f.combined.Sigma, ref.combined.Sigma)
+
+
+class TestOverflowingOffsets:
+    """``x - mu`` may overflow while the contour is finite: the offset is halved."""
+
+    def test_vacuous_coordinate_drops_out(self):
+        x = np.array([0.5, -1e308])
+        h = np.diag([1.0, 0.0])
+        got = GRFV([0.0, 1e308], np.eye(2), h).contour(x)
+        assert got == GRFV([0.0], [[1.0]], [[1.0]]).contour(np.array([0.5]))
+        assert got == pytest.approx(GRFN(0.0, 1.0, 1.0).contour(0.5), rel=1e-15)
+        one_d = GFV([0.0], [[1.0]]).membership(np.array([0.5]))
+        assert one_d == pytest.approx(math.exp(-0.125), rel=1e-15)
+        assert GFV([0.0, 1e308], h).membership(x) == one_d
+        batch = GFV([0.0, 1e308], h).membership(np.array([x, x]))
+        np.testing.assert_array_equal(batch, [one_d] * 2)
+
+    def test_overflowing_quadratic_form_is_zero(self):
+        g = GRFV([1e308, 0.0], np.eye(2), np.eye(2))
+        assert g.contour(np.array([-1e308, 0.0])) == 0.0
+        assert GFV([1e308, 0.0], np.eye(2)).membership(np.array([[-1e308, 0.0]])).tolist() == [0.0]
+
+    @pytest.mark.parametrize("g, x", [
+        # H e = (inf, 5e307) against e = (0, 5e307): inf * 0 is NaN
+        (GFV([0.0, 0.0], [[100.0, 10.0], [10.0, 1.0]]), [0.0, 1e308]),
+        # one term of (H e)^T M^-1 e overflows to -inf, the other stays finite
+        (GRFV([-0.5, 1.0], 0.3 * np.eye(2), [[2.0, 0.3], [0.3, 1.0]]), [0.0, 1e308]),
+    ], ids=["nan", "minus-inf"])
+    def test_quadratic_form_overflowing_below_zero_is_an_error(self, g, x):
+        with pytest.raises(DomainError, match="quadratic form"):
+            g.contour(np.array(x))
+        with pytest.raises(DomainError, match="quadratic form"):
+            g.contour(np.array([[0.0, 0.0], x]))
+
 
 class TestContour:
     def test_value_at_the_mean(self):

@@ -7,11 +7,14 @@ interpreter, since this test process has long imported all of them
 through other tests.
 """
 
+import ast
 import json
 import math
 import os
 import subprocess
 import sys
+
+import pytest
 
 import erfs
 
@@ -61,7 +64,7 @@ from erfs import GRFV, MCConfig, randomset
 from erfs.fuzzy import GFV, product
 print(json.dumps({"before": before, "resolved": all(resolved.values()), "missing_dir": listed,
                   "grfv": GRFV is erfs.grfv.GRFV, "mc": MCConfig is randomset.MCConfig,
-                  "gfv": erfs.fuzzy.GFV is GFV is erfs.GFV,
+                  "gfv": erfs.fuzzy.GFV is GFV is erfs.GFV is erfs.grfv.GFV,
                   "height": product(GFV([0.0], [[1.0]]), GFV([1.0], [[1.0]])).height}))
 """
 
@@ -126,3 +129,41 @@ def test_vector_models_never_import_scipy_linalg():
     assert 0.0 < out["kappa"] < 1.0
     assert all(0.0 < c <= 1.0 for c in out["contour"])
     assert out["dim"] == 2 and 0.0 < out["height"] <= 1.0
+
+
+# the scalar layer: these modules must run on ``math`` alone
+SCALAR_MODULES = ("fuzzy.py", "grfn.py", "interval.py", "errors.py")
+
+
+def _array_dependencies(tree: ast.AST) -> list[str]:
+    """Imports of numpy, scipy or ``._linalg`` and calls of ``load_numpy``, at any depth."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):  # the module, and each name as a submodule
+            base = "." * node.level + (node.module or "")
+            names = [base] + [base + ("." if node.module else "") + a.name for a in node.names]
+        elif isinstance(node, ast.Call):
+            f = node.func
+            names = ["load_numpy()"] if getattr(f, "id", getattr(f, "attr", None)) == "load_numpy" else []
+        else:
+            continue
+        found += [f"line {node.lineno}: {n}" for n in names
+                  if n.split(".")[0] in ("numpy", "scipy") or n in ("._linalg", "load_numpy()")]
+    return found
+
+
+@pytest.mark.parametrize("module", SCALAR_MODULES)
+def test_scalar_modules_never_reach_for_numpy(module):
+    with open(os.path.join(SRC, "erfs", module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    assert _array_dependencies(tree) == []
+
+
+def test_array_dependency_scan_sees_nested_uses():
+    tree = ast.parse("def f():\n    import numpy.linalg\n    from ._linalg import check_psd\n"
+                     "    from . import _linalg\n    from scipy import special\n"
+                     "    return load_numpy(), _normal.load_numpy()\n")
+    assert [s.split(": ")[1] for s in _array_dependencies(tree)] == [
+        "numpy.linalg", "._linalg", "._linalg", "scipy", "scipy.special", "load_numpy()", "load_numpy()"]
