@@ -21,8 +21,8 @@ from .errors import (
     PracticalRejection,
     SingularBlock,
 )
-from .fuzzy import GFN, ProductResult
-from .grfn import GRFN, GrfnFusion, GrfnKind
+from .fuzzy import ProductResult
+from .grfn import GFN, GRFN, GrfnFusion, GrfnKind
 from .interval import Interval, WHOLE_LINE
 
 # lazy name -> the submodule that defines it (``None`` for the submodule itself)

@@ -5,8 +5,12 @@ Evidence documents are JSON objects whose ``type`` (``gfn``, ``gfv``,
 the remaining fields.  Documents are read from files or stdin (``-``);
 results go to stdout as JSON for point queries and as plain CSV ('.'
 decimal, no locale) for grids.  Each query calls one model method
-(``contour``, ``cdf_bounds``, ``expectation_bounds``); ``cdf``, ``expect``
-and ``plotdata`` read a GFN as the GRFN with zero mode variance.
+(``contour``, ``cdf_bounds``, ``expectation_bounds``).  A GFN is the GRFN
+with zero mode variance, ``GRFN(mode, 0, precision)``, so ``cdf``,
+``expect`` and ``plotdata`` answer it by the GRFN closed forms and
+``combine`` fuses it with a GRFN by :func:`erfs.grfn.combine`; two GFNs
+combine by their product intersection, and ``belpl`` of a GFN reports
+possibility and necessity.
 
 Grids are written ``start:stop:step``; the stop value is included when it
 falls on the grid (within half a step).  Grid parts and ``--at`` values
@@ -35,14 +39,13 @@ import sys
 
 from . import fuzzy, grfn
 from .errors import ContradictoryEvidence, ErfsError
-from .fuzzy import GFN
-from .grfn import GRFN, TriangularGaussian
+from .grfn import GFN, GRFN, TriangularGaussian
 from .interval import Interval
 
 # document ``type`` -> (erfs module, model); each model has ``from_dict`` and
 # ``to_dict``.  A model's module is imported when a document of its type is read,
 # so the vector types load numpy only for vector documents.
-_TYPES = {"gfn": ("fuzzy", "GFN"), "gfv": ("grfv", "GFV"), "grfn": ("grfn", "GRFN"),
+_TYPES = {"gfn": ("grfn", "GFN"), "gfv": ("grfv", "GFV"), "grfn": ("grfn", "GRFN"),
           "grfv": ("grfv", "GRFV"), "triangular-gaussian": ("grfn", "TriangularGaussian")}
 _KINDS = {model: kind for kind, (_, model) in _TYPES.items()}
 
@@ -206,14 +209,8 @@ def _vector(text, dim: int):
     return v
 
 
-def _lift_grfn(doc):
-    """A GFN as the GRFN with zero mode variance; any other document as is."""
-    return GRFN(doc.mode, 0.0, doc.precision) if isinstance(doc, GFN) else doc
-
-
 def _closed_form(doc, what: str):
     """The document as a model with ``cdf_bounds`` and ``expectation_bounds``."""
-    doc = _lift_grfn(doc)
     if not isinstance(doc, (GRFN, TriangularGaussian)):
         raise ErfsError(f"no closed-form {what} for type '{type(doc).__name__}'")
     return doc
@@ -225,8 +222,8 @@ def _combine_pair(a, b):
     if kinds in ({"gfn"}, {"gfv"}):
         r = fuzzy.product(a, b)
         return r.product, 1.0 - r.height
-    if kinds <= {"gfn", "grfn"}:
-        f = grfn.combine(_lift_grfn(a), _lift_grfn(b))
+    if kinds <= {"gfn", "grfn"}:  # a GFN is the GRFN with sigma2 = 0
+        f = grfn.combine(a, b)
     elif kinds <= {"gfv", "grfv"}:  # a GFV is the GRFV with Sigma = 0
         from . import grfv
 

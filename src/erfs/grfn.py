@@ -7,7 +7,12 @@ probabilistic uncertainty and possibilistic imprecision:
 
 * ``h = 0``       -- vacuous (total ignorance); canonical form ``(0, 1, 0)``
 * ``h = +inf``    -- an ordinary Gaussian random variable ``N(mu, sigma2)``
-* ``sigma2 = 0``  -- an ordinary Gaussian possibility distribution ``GFN(mu, h)``
+* ``sigma2 = 0``  -- a Gaussian fuzzy number ``GFN(mu, h)``
+
+``GFN(mode, precision)`` is that possibilistic number, ``GRFN(mode, 0,
+precision)``: its membership ``exp(-h/2 (x - m)^2)`` is the contour, and
+:func:`erfs.fuzzy.product` of two GFNs is :func:`combine` at ``sigma2 = 0``
+without the conflict cutoff (both run :func:`_fuse`).
 
 All queries (contour, interval belief/plausibility, cdf and expectation
 bounds) have closed forms in the standard normal cdf, and two numbers
@@ -25,14 +30,13 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import fuzzy
-from ._normal import (Phi, as_output, as_points, constant, exp, indicator, maximum, minimum,
-                      phi, phi_over, quiet_on_arrays, where_nan)
+from ._normal import (Phi, as_output, as_points, at_least, constant, exp, indicator, maximum,
+                      minimum, phi, phi_over, quiet_on_arrays, where_nan)
 from .errors import ContradictoryEvidence, DomainError
-from .fuzzy import GFN, effective_pair_precision, _require_extended, _require_number
 from .interval import Interval
 
 __all__ = [
+    "GFN",
     "GRFN",
     "GrfnKind",
     "GrfnFusion",
@@ -40,6 +44,7 @@ __all__ = [
     "TriangularGaussian",
     "combine",
     "combine_many",
+    "effective_pair_precision",
     "linear_combination",
     "vacuous",
 ]
@@ -61,14 +66,20 @@ class GRFN:
     sigma2: float
     h: float
 
+    # the document's fields, the last one the precision; the names of mu and h
+    # in error messages
+    _FIELDS = ("mu", "sigma2", "h")
+    _NAMES = ("mu", "h")
+
     def __post_init__(self):
+        mu_name, h_name = self._NAMES
         mu, s2, h = float(self.mu), float(self.sigma2), float(self.h)
         if not math.isfinite(mu):
-            raise DomainError("mu must be finite")
+            raise DomainError(f"{mu_name} must be finite")
         if not math.isfinite(s2) or s2 < 0.0:
             raise DomainError(f"sigma2 must be a finite nonnegative real, got {s2}")
         if math.isnan(h) or h < 0.0:
-            raise DomainError(f"h must be in [0, +inf], got {h}")
+            raise DomainError(f"{h_name} must be in [0, +inf], got {h}")
         if h == 0.0:
             # every vacuous GRFN is the same object; fix the canonical form
             mu, s2 = 0.0, 1.0
@@ -108,8 +119,9 @@ class GRFN:
             else:
                 out = indicator(x, self.mu)
         else:
-            # h / (1 + h sigma2) in ratio form: finite even when h sigma2 overflows
-            hc = 1.0 / (1.0 / self.h + self.sigma2)
+            # h / (1 + h sigma2) in ratio form, finite even when h sigma2 overflows;
+            # h itself for a GFN (sigma2 = 0), where 1 / (1 / h) may round
+            hc = 1.0 / (1.0 / self.h + self.sigma2) if self.sigma2 > 0.0 else self.h
             d = x - self.mu
             out = exp(-0.5 * hc * d * d) / math.sqrt(1.0 + self.h * self.sigma2)
         return as_output(out)
@@ -172,6 +184,9 @@ class GRFN:
         y = as_points(y)
         if self.h == 0.0:
             lower, upper = constant(y, 0.0), constant(y, 1.0)
+        elif math.isinf(self.h) and self.sigma2 == 0.0:
+            # the point mass: its cdf is right-continuous, 1 at the atom
+            lower = upper = at_least(y, self.mu)
         elif math.isinf(self.h):
             lower = upper = phi_over(y - self.mu, math.sqrt(self.sigma2))
         else:
@@ -198,19 +213,73 @@ class GRFN:
         return self.mu - r, self.mu + r
 
     def to_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "sigma2": self.sigma2,
-            "h": "inf" if math.isinf(self.h) else self.h,
-        }
+        values = {field: getattr(self, field) for field in self._FIELDS}
+        return {field: "inf" if math.isinf(v) else v for field, v in values.items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "GRFN":
-        return cls(
-            _require_number(d, "mu"),
-            _require_number(d, "sigma2"),
-            _require_extended(d, "h"),
-        )
+        *numbers, precision = cls._FIELDS
+        return cls(*(_require_number(d, f) for f in numbers), _require_extended(d, precision))
+
+
+class GFN(GRFN):
+    """Gaussian fuzzy number: ``GRFN(mode, 0, precision)``, whose mode does
+    not vary; ``mode`` and ``precision`` are ``mu`` and ``h``.
+
+    The membership ``exp(-h/2 (x - m)^2)`` is the contour.  ``h = 0`` is
+    the maximally imprecise whole line (GRFN's canonical vacuous form, mode
+    0), ``h = +inf`` the crisp point ``{m}``.
+    """
+
+    _FIELDS = ("mode", "precision")
+    _NAMES = ("GFN mode", "GFN precision")
+
+    def __init__(self, mode, precision):
+        super().__init__(mode, 0.0, precision)
+
+    mode = property(lambda self: self.mu)
+    precision = property(lambda self: self.h)
+    membership = GRFN.contour
+
+    @property
+    def is_crisp(self) -> bool:
+        return math.isinf(self.h)
+
+    def alpha_cut(self, alpha: float) -> Interval:
+        """The closed set of points with membership at least ``alpha``.
+
+        Defined for ``precision > 0`` and ``alpha`` in ``(0, 1]``; the cut of
+        a zero-precision number is the whole line, which callers must branch
+        on themselves (it has no finite representation worth returning here).
+        """
+        if not 0.0 < alpha <= 1.0:
+            raise DomainError(f"alpha must be in (0, 1], got {alpha}")
+        if self.h == 0.0:
+            raise DomainError("alpha-cut of a zero-precision GFN is the whole line")
+        if math.isinf(self.h) or alpha == 1.0:
+            return Interval(self.mu, self.mu)
+        r = math.sqrt(-2.0 * math.log(alpha) / self.h)
+        return Interval(self.mu - r, self.mu + r)
+
+
+def _require_number(d: dict, field: str) -> float:
+    if field not in d:
+        raise DomainError(f"missing field '{field}'")
+    v = d[field]
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise DomainError(f"field '{field}' must be a number")
+    return float(v)
+
+
+def _require_extended(d: dict, field: str) -> float:
+    if field not in d:
+        raise DomainError(f"missing field '{field}'")
+    v = d[field]
+    if v == "inf":
+        return math.inf
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise DomainError(f"field '{field}' must be a number or \"inf\"")
+    return float(v)
 
 
 @dataclass(frozen=True)
@@ -322,10 +391,11 @@ def _intermediates(g1: GRFN, g2: GRFN, hbar: float) -> LemmaIntermediates:
     mu1, v1 = g1.mu, g1.sigma2
     mu2, v2 = g2.mu, g2.sigma2
     s = v1 + v2
+    if s == 0.0:
+        # both modes fixed: nothing to condition (and no inf * 0 below)
+        return LemmaIntermediates(mu1, mu2, 0.0, 0.0, 0.0, hbar)
     if math.isinf(hbar):
         # both operands probabilistic: conditioning on exact mode agreement
-        if s == 0.0:
-            return LemmaIntermediates(mu1, mu2, 0.0, 0.0, 0.0, hbar)
         m = (mu1 * v2 + mu2 * v1) / s
         v = v1 * v2 / s
         rho = 1.0 if (v1 > 0.0 and v2 > 0.0) else 0.0
@@ -340,6 +410,23 @@ def _intermediates(g1: GRFN, g2: GRFN, hbar: float) -> LemmaIntermediates:
     else:
         rho = 0.0
     return LemmaIntermediates(mu1t, mu2t, v1t, v2t, rho, hbar)
+
+
+def effective_pair_precision(h1: float, h2: float) -> float:
+    """``h1 h2 / (h1 + h2)`` extended to the degenerate precisions.
+
+    A zero precision absorbs everything (result 0); an infinite precision
+    is neutral (result is the other operand); two infinite precisions give
+    +inf.  This is the precision governing the height of a product of two
+    Gaussian memberships.
+    """
+    if h1 == 0.0 or h2 == 0.0:
+        return 0.0
+    if math.isinf(h1):
+        return h2
+    if math.isinf(h2):
+        return h1
+    return h1 * h2 / (h1 + h2)
 
 
 def log_one_minus_kappa(g1: GRFN, g2: GRFN) -> float:
@@ -382,7 +469,7 @@ def conflict_degree(log1mk: float) -> float:
         raise ContradictoryEvidence(
             f"degree of conflict rounds to 1 (log(1 - kappa) = {log1mk:.3g})"
         )
-    return min(max(-math.expm1(log1mk), 0.0), 1.0)
+    return min(max(0.0, -math.expm1(log1mk)), 1.0)  # no conflict is +0.0, not -0.0
 
 
 def combine(g1: GRFN, g2: GRFN) -> GrfnFusion:
@@ -399,44 +486,52 @@ def combine(g1: GRFN, g2: GRFN) -> GrfnFusion:
     Raises :class:`ContradictoryEvidence` when the evidence is totally
     conflicting (1 - kappa below 1e-15) outside that structural case.
     """
-    if g1.is_vacuous and g2.is_vacuous:
-        return GrfnFusion(vacuous(), 0.0, _intermediates(g1, g2, 0.0))
-    if g1.is_vacuous:
-        return GrfnFusion(g2, 0.0, _intermediates(g1, g2, 0.0))
-    if g2.is_vacuous:
-        return GrfnFusion(g1, 0.0, _intermediates(g1, g2, 0.0))
+    if math.isinf(g1.h) and math.isinf(g2.h) and g1.sigma2 + g2.sigma2 > 0.0:
+        inter = _intermediates(g1, g2, math.inf)
+        return GrfnFusion(GRFN(inter.mu1, inter.var1, math.inf), 1.0, inter)
+    (mu, sigma2, h), kappa, inter = _fuse(g1, g2, conflict_degree)
+    return GrfnFusion(GRFN(mu, sigma2, h), kappa, inter)
+
+
+def _fuse(g1: GRFN, g2: GRFN, weigh):
+    """The product-intersection case analysis of :func:`combine` and of
+    :func:`erfs.fuzzy.product` (two GFNs), for any pair but two random
+    variables with a varying mode, which only :func:`combine` meets.
+
+    Returns the combined ``(mu, sigma2, h)``, ``weigh(log(1 - kappa))`` and
+    the intermediates.  ``weigh`` is the caller's conflict policy; it runs
+    before the combined parameters are formed, so it may reject the pair.
+    A vacuous operand is neutral and two equal points agree, both with
+    ``log(1 - kappa) = 0``; two distinct points contradict.
+    """
+    if g1.is_vacuous or g2.is_vacuous:
+        kept = g2 if g1.is_vacuous else g1
+        return (kept.mu, kept.sigma2, kept.h), weigh(0.0), _intermediates(g1, g2, 0.0)
 
     h1, h2 = g1.h, g2.h
-    hbar = effective_pair_precision(h1, h2)
-    inter = _intermediates(g1, g2, hbar)
-
+    inter = _intermediates(g1, g2, effective_pair_precision(h1, h2))
     if math.isinf(h1) and math.isinf(h2):
-        if g1.sigma2 + g2.sigma2 == 0.0:
-            if g1.mu != g2.mu:
-                raise ContradictoryEvidence(
-                    "two distinct deterministic points cannot be combined"
-                )
-            return GrfnFusion(GRFN(g1.mu, 0.0, math.inf), 0.0, inter)
-        combined = GRFN(inter.mu1, inter.var1, math.inf)
-        return GrfnFusion(combined, 1.0, inter)
+        if g1.mu != g2.mu:
+            raise ContradictoryEvidence("two distinct deterministic points cannot be combined")
+        return (g1.mu, 0.0, math.inf), weigh(0.0), inter
 
-    kappa = conflict_degree(log_one_minus_kappa(g1, g2))
-
+    weight = weigh(log_one_minus_kappa(g1, g2))
     if math.isinf(h1):
-        combined = GRFN(inter.mu1, inter.var1, math.inf)
-    elif math.isinf(h2):
-        combined = GRFN(inter.mu2, inter.var2, math.inf)
-    else:
-        h12 = h1 + h2
-        mu12 = (h1 * inter.mu1 + h2 * inter.mu2) / h12
-        sd1, sd2 = math.sqrt(inter.var1), math.sqrt(inter.var2)
-        var12 = (
-            h1 * h1 * inter.var1
-            + h2 * h2 * inter.var2
-            + 2.0 * inter.rho * h1 * h2 * sd1 * sd2
-        ) / (h12 * h12)
-        combined = GRFN(mu12, var12, h12)
-    return GrfnFusion(combined, kappa, inter)
+        return (inter.mu1, inter.var1, math.inf), weight, inter
+    if math.isinf(h2):
+        return (inter.mu2, inter.var2, math.inf), weight, inter
+    h12 = h1 + h2
+    mu12 = (h1 * inter.mu1 + h2 * inter.mu2) / h12
+    if inter.var1 == inter.var2 == 0.0:
+        # fixed modes, as in a GFN product: no h^2 that overflows or underflows
+        return (mu12, 0.0, h12), weight, inter
+    sd1, sd2 = math.sqrt(inter.var1), math.sqrt(inter.var2)
+    var12 = (
+        h1 * h1 * inter.var1
+        + h2 * h2 * inter.var2
+        + 2.0 * inter.rho * h1 * h2 * sd1 * sd2
+    ) / (h12 * h12)
+    return (mu12, var12, h12), weight, inter
 
 
 def combine_many(gs) -> GRFN:
@@ -451,16 +546,24 @@ def combine_many(gs) -> GRFN:
 
 
 def linear_combination(terms) -> GRFN:
-    """Linear combination of independent GRFNs with nonzero coefficients.
+    """Extension-principle linear combination of independent GRFNs (or
+    GFNs) with nonzero coefficients.
 
     Mode means add as ``sum lam_i mu_i``, mode variances as
-    ``sum lam_i^2 sigma_i^2``, and the precisions compose like GFN spreads:
-    ``h = (sum |lam_i| h_i^{-1/2})^{-2}``.  Every ``h_i`` must be finite
-    and positive.
+    ``sum lam_i^2 sigma_i^2``, and the precisions as
+    ``h = (sum |lam_i| h_i^{-1/2})^{-2}``.  Every ``h_i`` must lie in
+    ``(0, +inf)`` for the closed form to apply.
     """
     terms = [(float(lam), g) for lam, g in terms]
-    modes = fuzzy.linear_combination((lam, GFN(g.mu, g.h)) for lam, g in terms)
-    var = 0.0
+    if not terms:
+        raise DomainError("linear_combination requires a nonempty list of terms")
+    mu = var = spread = 0.0
     for lam, g in terms:
+        if lam == 0.0:
+            raise DomainError("coefficients must be nonzero")
+        if not 0.0 < g.h < math.inf:
+            raise DomainError(f"term precision must be in (0, +inf), got {g.h}")
+        mu += lam * g.mu
         var += lam * lam * g.sigma2
-    return GRFN(modes.mode, var, modes.precision)
+        spread += abs(lam) / math.sqrt(g.h)
+    return GRFN(mu, var, spread ** -2)

@@ -13,9 +13,10 @@ projection the marginal, and :func:`gfv_product` is :func:`combine` at
 :func:`combine`, :meth:`GRFV.contour` and :meth:`GRFV.marginalize` hold
 for any PSD ``Sigma`` and ``H``.  Combination and contour factor, by LU,
 only ``I + Hbar S`` and ``I + Sigma H``, which stay nonsingular there (the
-eigenvalues of a product of two PSD matrices are >= 0); marginalization
-takes a generalized Schur complement.  The conflict is formed in
-log-space.
+eigenvalues of a product of two PSD matrices are >= 0); one that rounds to
+singular, as ``1 + 1e160`` does, raises :class:`DomainError`.
+Marginalization takes a generalized Schur complement.  The conflict is
+formed in log-space.
 
 Contract: :func:`combine` needs ``H1 + H2`` positive definite, so a
 vacuous extension fuses with evidence on the missing coordinates.
@@ -93,7 +94,7 @@ class GRFV:
         with np.errstate(over="ignore", invalid="ignore"):  # as_matrix rejects an overflow
             sh = self.Sigma @ self.H
         m = as_matrix(np.eye(self.dim) + sh, "I + Sigma H")
-        log_norm = -0.5 * np.linalg.slogdet(m)[1]
+        log_norm = -0.5 * _logdet_nonsingular(m, "I + Sigma H")
         e = 0.5 * np.asarray(x, dtype=float) - 0.5 * self.mu
         with np.errstate(over="ignore", invalid="ignore"):  # rejected below
             if e.ndim == 1:
@@ -257,7 +258,8 @@ def combine(g1: GRFV, g2: GRFV) -> GrfvFusion:
         d = g1.mu - g2.mu
         m = np.eye(p) + hbar @ (s1 + s2)
         # d^T G d without forming G: a rejected fusion stops after one vector solve
-        log1mk = -0.5 * np.linalg.slogdet(m)[1] - 0.5 * float(d @ np.linalg.solve(m, hbar @ d))
+        log_norm = -0.5 * _logdet_nonsingular(m, "I + Hbar S")
+        log1mk = log_norm - 0.5 * float(d @ np.linalg.solve(m, hbar @ d))
     kappa = conflict_degree(log1mk)
 
     g = np.linalg.solve(m, hbar)
@@ -282,11 +284,25 @@ def combine(g1: GRFV, g2: GRFV) -> GrfvFusion:
 def gfv_product(g1: GFV, g2: GFV) -> ProductResult:
     """Normalized product intersection of two GFVs: :func:`combine` at
     ``Sigma = 0`` without its conflict cutoff.  Mode ``m1 - A2 (m1 - m2)``,
-    precision ``H1 + H2``, log height ``-1/2 d^T Hbar d``."""
+    precision ``H1 + H2``, log height ``-1/2 d^T Hbar d``; a quadratic form
+    that overflows to NaN or ``-inf`` (it is >= 0 in exact arithmetic) raises
+    :class:`DomainError`."""
     if g1.dim != g2.dim:
         raise DomainError(f"dimension mismatch: {g1.dim} vs {g2.dim}")
     a2, hbar = parallel_sum(g1.H, g2.H)
-    d = g1.mu - g2.mu
-    m12 = g1.mu - a2 @ d
-    log_height = -0.5 * float(d @ hbar @ d)
-    return ProductResult(GFV(m12, g1.H + g2.H), math.exp(log_height))
+    with np.errstate(over="ignore", invalid="ignore"):  # GFV and the test below reject these
+        d = g1.mu - g2.mu
+        m12 = g1.mu - a2 @ d
+        q = float(d @ hbar @ d)
+    if not q > -math.inf:
+        raise DomainError("the product's quadratic form overflowed to NaN or -inf")
+    return ProductResult(GFV(m12, g1.H + g2.H), math.exp(-0.5 * q))
+
+
+def _logdet_nonsingular(m: np.ndarray, name: str) -> float:
+    """``log|det m|``; :class:`DomainError` naming ``m`` when its LU
+    factorization has a zero pivot, where ``np.linalg.solve`` would raise."""
+    sign, logdet = np.linalg.slogdet(m)
+    if sign == 0.0:
+        raise DomainError(f"{name} is singular in floating point")
+    return logdet

@@ -19,8 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .fuzzy import GFN
-from .grfn import GRFN
+from .grfn import GFN, GRFN
 
 __all__ = [
     "Sample",

@@ -33,8 +33,7 @@ import numpy as np
 
 from ._normal import Phi
 from .errors import DomainError, PracticalRejection
-from .fuzzy import effective_pair_precision
-from .grfn import GRFN, TriangularGaussian, combine
+from .grfn import GRFN, TriangularGaussian, combine, effective_pair_precision
 from .interval import Interval
 
 __all__ = [

@@ -70,6 +70,14 @@ class TestCombine:
         assert doc["type"] == "grfn"
         assert doc["mu"] == pytest.approx(0.625, abs=1e-12)
 
+    def test_vacuous_gfn_with_grfn_prints_a_grfn(self, tmp_path, capsys):
+        a = write_doc(tmp_path, "a.json", {"type": "gfn", "mode": 3.0, "precision": 0.0})
+        b = write_doc(tmp_path, "b.json", {"type": "grfn", "mu": 1.0, "sigma2": 0.0, "h": 0.5})
+        for docs in ([a, b], [b, a]):
+            assert main(["combine", *docs]) == 0
+            assert capsys.readouterr().out == (
+                'step 1: kappa=0\n{"type": "grfn", "mu": 1.0, "sigma2": 0.0, "h": 0.5}\n')
+
     def test_grfv_pair(self, tmp_path, capsys):
         payload = {"type": "grfv", "mu": [0.0, 0.0],
                    "Sigma": [[1.0, 0.0], [0.0, 1.0]], "H": [[1.0, 0.0], [0.0, 1.0]]}
@@ -98,6 +106,16 @@ class TestCdf:
         out = json.loads(capsys.readouterr().out)
         assert out["lower"] == pytest.approx(0.5, abs=1e-15)
         assert out["upper"] == pytest.approx(0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("inline", [["--type", "gfn", "--mode", "1", "--precision", "inf"],
+                                        ["--type", "grfn", "--mu", "1", "--sigma2", "0", "--h", "inf"]],
+                             ids=["gfn", "grfn"])
+    def test_point_mass_at_its_atom(self, inline, capsys):
+        # the cdf of a point mass is right-continuous: 1 at the atom, not 1/2
+        assert main(["cdf", *inline, "--at", "1"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"y": 1.0, "lower": 1.0, "upper": 1.0}
+        assert main(["cdf", *inline, "--grid", "0:2:1"]) == 0
+        assert capsys.readouterr().out == "x,lower,upper\n0,0,0\n1,1,1\n2,1,1\n"
 
     def test_grid_output_monotone(self, capsys):
         assert main(["cdf", "--type", "grfn", "--mu", "0", "--sigma2", "1",
@@ -506,18 +524,21 @@ _MAX_SIGMA_GRFV = {"type": "grfv", "mu": [0, 1], "Sigma": [[1e308, 0], [0, 1e308
 
 @pytest.mark.parametrize("payload, argv, stdout", [
     ({"type": "gfv", "mode": [0.25], "precision": [[2.0]]},
-     ["--grid=-1.7e308:-1.6e308:5e307"], "-1.7e+308,0\n"),
+     ["eval", "--grid=-1.7e308:-1.6e308:5e307"], "-1.7e+308,0\n"),
     # Sigma H = 1e298 I: the contour is |I + Sigma H|^(-1/2) exp(-q/2), q about 1e-308
-    (_MAX_SIGMA_GRFV, ["--at", "0,0"], "0,0,1e-298\n"),
+    (_MAX_SIGMA_GRFV, ["eval", "--at", "0,0"], "0,0,1e-298\n"),
     # x - mu overflows; the quadratic form overflows to inf, not to NaN
     ({"type": "grfv", "mu": [1e308, 0], "Sigma": [[1, 0], [0, 1]], "H": [[1, 0], [0, 1]]},
-     ["--at=-1e308,0"], "-1e308,0,0\n"),
+     ["eval", "--at=-1e308,0"], "-1e308,0,0\n"),
     ({"type": "gfv", "mode": [1e308, 0], "precision": [[1, 0], [0, 1]]},
-     ["--at=-1e308,0"], "-1e308,0,0\n"),
-], ids=["gfv-grid", "grfv-max-sigma", "grfv-offset", "gfv-offset"])
+     ["eval", "--at=-1e308,0"], "-1e308,0,0\n"),
+    # (x - m)^2 overflows in the membership
+    ({"type": "gfn", "mode": 1.0, "precision": 2.0},
+     ["plotdata", "--grid=-1.7e308:-1.6e308:5e307"], "x,lower,upper,contour\n-1.7e+308,0,0,0\n"),
+], ids=["gfv-grid", "grfv-max-sigma", "grfv-offset", "gfv-offset", "gfn-plotdata"])
 def test_overflowing_evaluations_print_no_warnings(payload, argv, stdout, tmp_path):
     doc = write_doc(tmp_path, "big.json", payload)
-    proc = subprocess.run([sys.executable, "-m", "erfs.cli", "eval", doc, *argv], capture_output=True,
+    proc = subprocess.run([sys.executable, "-m", "erfs.cli", *argv, doc], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=_SRC), timeout=120)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     assert proc.stdout == stdout
@@ -557,8 +578,21 @@ def test_overflowing_vector_products_print_only_the_error(tmp_path):
     big = write_doc(tmp_path, "max_sigma.json", _MAX_SIGMA_GRFV)
     far = [write_doc(tmp_path, f"far{i}.json", {"type": "grfv", "mu": [m, 0], "Sigma": [[1, 0], [0, 1]],
                                                "H": [[1, 0], [0, 1]]}) for i, m in enumerate((1e308, -1e308))]
+    # I + Hbar S and I + Sigma H round to singular matrices
+    flat = write_doc(tmp_path, "flat.json", {"type": "grfv", "mu": [1, 0], "Sigma": [[0, 0], [0, 0]],
+                                             "H": [[1, 1], [1, 1]]})
+    wide = write_doc(tmp_path, "wide.json", {"type": "grfv", "mu": [0, 0],
+                                             "Sigma": [[1e160, 0], [0, 1e160]], "H": [[1, 1], [1, 1]]})
+    # d^T Hbar d overflows to -inf
+    gfvs = [write_doc(tmp_path, f"gfv{i}.json", {"type": "gfv", "mode": m, "precision": h})
+            for i, (m, h) in enumerate((([1, 0], [[1, 1], [1, 1]]), ([1e300, -1e300], [[1e10, 0], [0, 1e10]])))]
     env = dict(os.environ, PYTHONPATH=_SRC)
     for argv, code, msg in (
+        (["combine", flat, doc], 2, "I + Hbar S is singular in floating point"),
+        (["conflict", doc, flat], 2, "I + Hbar S is singular in floating point"),
+        (["eval", wide, "--at", "0,0"], 2, "I + Sigma H is singular in floating point"),
+        (["combine", *gfvs], 2, "the product's quadratic form overflowed to NaN or -inf"),
+        (["conflict", *gfvs], 2, "the product's quadratic form overflowed to NaN or -inf"),
         (["eval", doc, "--at", "0.5,0.5"], 2, "I + Sigma H contains non-finite entries"),
         (["combine", doc, doc], 1, "degree of conflict rounds to 1 (log(1 - kappa) = -inf)"),
         # Sigma1 + Sigma2 overflows, then mu1 - mu2

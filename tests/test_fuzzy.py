@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import erfs
+from erfs import fuzzy, grfn
 from erfs.errors import ContradictoryEvidence, DomainError, NotPositiveDefinite
 from erfs.fuzzy import (
     GFN,
@@ -16,6 +18,7 @@ from erfs.fuzzy import (
     possibility_necessity,
     product,
 )
+from erfs.grfn import GRFN, combine, log_one_minus_kappa
 from erfs.interval import Interval, WHOLE_LINE
 
 modes = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
@@ -48,6 +51,40 @@ class TestMembership:
         g = GFN(1.0, 3.0)
         xs = np.array([-1.0, 1.0, 2.0])
         assert_allclose(g.membership(xs), [math.exp(-6.0), 1.0, math.exp(-1.5)], rtol=1e-14)
+
+
+class TestGfnIsGrfn:
+    """A GFN is the GRFN with sigma2 = 0: same contour, closed forms and fusion."""
+
+    def test_subclass_and_aliases(self):
+        g = GFN(1.5, 2.0)
+        assert isinstance(g, GRFN) and type(g) is GFN
+        assert erfs.GFN is fuzzy.GFN is grfn.GFN is GFN and GFN.__module__ == "erfs.grfn"
+        assert (g.mu, g.sigma2, g.h) == (1.5, 0.0, 2.0)
+        assert (g.mode, g.precision) == (1.5, 2.0)
+        xs = np.array([-1.0, 1.5, 4.0])
+        np.testing.assert_array_equal(g.membership(xs), GRFN(1.5, 0.0, 2.0).contour(xs))
+        assert g.cdf_bounds(2.0) == GRFN(1.5, 0.0, 2.0).cdf_bounds(2.0)
+        assert g.to_dict() == {"mode": 1.5, "precision": 2.0}
+
+    def test_vacuous_takes_the_canonical_form(self):
+        g = GFN(5.0, 0.0)
+        assert g == GFN(0.0, 0.0) and g.mode == 0.0 and g.is_vacuous
+        assert g.to_dict() == {"mode": 0.0, "precision": 0.0}
+
+    @given(a=st.one_of(gfns(), st.builds(GFN, modes, st.sampled_from([0.0, math.inf]))),
+           b=gfns())
+    @settings(max_examples=100, deadline=None)
+    def test_product_is_the_combination_without_its_cutoff(self, a, b):
+        r = product(a, b)
+        assert r.height == math.exp(log_one_minus_kappa(a, b))
+        try:
+            f = combine(a, b)
+        except ContradictoryEvidence:
+            assert r.height < 1e-15
+            return
+        assert type(r.product) is GFN and type(f.combined) is GRFN
+        assert (r.product.mode, r.product.precision) == (f.combined.mu, f.combined.h)
 
 
 class TestValidation:
@@ -271,6 +308,13 @@ class TestGfvProduct:
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             product(GFV([0.0], [[1.0]]), GFV([0.0, 0.0], np.eye(2)))
+
+    def test_overflowing_quadratic_form_is_a_typed_error(self):
+        # d^T Hbar d is >= 0 in exact arithmetic; here it overflows to -inf
+        a = GFV([1.0, 0.0], [[1.0, 1.0], [1.0, 1.0]])
+        b = GFV([1e300, -1e300], 1e10 * np.eye(2))
+        with np.errstate(all="raise"), pytest.raises(DomainError, match="quadratic form"):
+            product(a, b)
 
     def test_mixed_types_rejected(self):
         with pytest.raises(DomainError):

@@ -191,6 +191,31 @@ class TestCdfBounds:
         assert_allclose(upper, expect_upper, atol=1e-14)
 
 
+class TestPointMassCdf:
+    """The point mass ``GRFN(mu, 0, inf)`` has the right-continuous cdf of its atom."""
+
+    @pytest.mark.parametrize("g", [GRFN(1.5, 0.0, math.inf), GFN(1.5, math.inf)],
+                             ids=["grfn", "gfn"])
+    def test_scalar_and_array(self, g):
+        assert g.cdf_bounds(1.5) == (1.0, 1.0)
+        assert g.cdf_bounds(1.0) == (0.0, 0.0)
+        assert g.cdf_bounds(2.0) == (1.0, 1.0)
+        for bound in g.cdf_bounds(np.array([1.0, 1.5, 2.0])):
+            np.testing.assert_array_equal(bound, [0.0, 1.0, 1.0])
+
+    def test_agrees_with_belpl_necessity_and_monte_carlo(self):
+        from erfs.randomset import GrfnSampler, MCConfig, mc_bel_pl
+
+        g = GRFN(1.5, 0.0, math.inf)
+        cfg = MCConfig(seed=7, samples=2_000)
+        for y in (1.0, 1.5, 2.0):
+            cdf = g.cdf_bounds(y)
+            assert g.bel_pl(Interval(-10.0, y)) == cdf
+            assert possibility_necessity(GFN(1.5, math.inf), Interval(-math.inf, y))[::-1] == cdf
+            bel, pl = mc_bel_pl(GrfnSampler(g), Interval(-math.inf, y), cfg)
+            assert (bel.value, pl.value) == cdf
+
+
 class TestExpectationBounds:
     def test_unit_halfwidth(self):
         lo, hi = GRFN(0.0, 1.0, math.pi / 2.0).expectation_bounds()

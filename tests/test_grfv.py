@@ -284,6 +284,18 @@ class TestCombine:
                     continue
             assert np.all(np.isfinite(value))
 
+    def test_lu_factor_singular_in_floating_point_is_a_typed_error(self):
+        # I + Hbar S and I + Sigma H are nonsingular in exact arithmetic; 1 + 1e160 rounds away the 1
+        a = GRFV([1.0, 0.0], np.zeros((2, 2)), [[1.0, 1.0], [1.0, 1.0]])
+        b = GRFV([0.0, 1.0], 1e160 * np.eye(2), 1e160 * np.eye(2))
+        for pair in ((a, b), (b, a)):
+            with pytest.raises(DomainError, match=r"^I \+ Hbar S is singular in floating point$"):
+                combine(*pair)
+        c = GRFV([0.0, 0.0], 1e160 * np.eye(2), [[1.0, 1.0], [1.0, 1.0]])
+        for x in (np.zeros(2), np.zeros((3, 2))):
+            with pytest.raises(DomainError, match=r"^I \+ Sigma H is singular in floating point$"):
+                c.contour(x)
+
     def test_one_sided_semidefinite_inputs_combine(self):
         rng = np.random.default_rng(61)
         g = GRFV(rng.normal(size=2), random_spd(rng, 2), random_spd(rng, 2))
