@@ -18,8 +18,8 @@ objects (zero mode variance) reduce to, so callers never divide by zero.
 The closed forms take a Python float or an array.  ``as_points``,
 ``exp``, ``maximum``, ``minimum`` and ``as_output`` let one formula serve
 both: a float stays a float and is computed with ``math``, an array goes
-through numpy.  ``constant``, ``indicator`` and ``at_least`` are the
-float-or-array forms of ``full_like``, ``x == at`` and ``x >= at``.
+through numpy.  ``constant``, ``log_indicator`` and ``at_least`` are the
+float-or-array forms of ``full_like``, ``log(x == at)`` and ``x >= at``.
 """
 
 from __future__ import annotations
@@ -59,9 +59,11 @@ def constant(x, value: float):
     return value if is_scalar(x) else load_numpy().full_like(x, value)
 
 
-def indicator(x, at: float):
-    """1.0 where ``x == at``, else 0.0 (a float or a float array)."""
-    return float(x == at) if is_scalar(x) else (x == at).astype(float)
+def log_indicator(x, at: float):
+    """0.0 where ``x == at``, else -inf (a float or a float array)."""
+    if is_scalar(x):
+        return 0.0 if x == at else -math.inf
+    return load_numpy().where(x == at, 0.0, -math.inf)
 
 
 def at_least(x, at: float):

@@ -11,9 +11,10 @@ resolves to it.
 The family is closed under the normalized product intersection: the
 product of two Gaussian memberships is a Gaussian membership rescaled by
 its height.  :func:`product` is the combination of the two ``sigma2 = 0``
-(``Sigma = 0``) numbers without its conflict cutoff, and reports the
-height ``1 - kappa``, which is formed in log-space: widely separated
-modes give tiny-but-exact heights instead of underflowing intermediates.
+(``Sigma = 0``) numbers without its conflict cutoff, the ``_fuse`` of
+:mod:`erfs.grfn` or :mod:`erfs.grfv`, and reports the height ``1 - kappa``:
+the module's one Gaussian height, also its contour's, formed in log-space,
+so widely separated modes give tiny-but-exact heights.
 
 GFN queries run on ``math`` alone; :mod:`erfs.grfv` is imported only when
 a ``GFV`` is asked for.
@@ -50,13 +51,15 @@ class ProductResult:
 def product(g1, g2) -> ProductResult:
     """Normalized product intersection of two GFNs or two GFVs."""
     if isinstance(g1, GFN) and isinstance(g2, GFN):
-        (mode, _, precision), height, _ = grfn._fuse(g1, g2, math.exp)
-        return ProductResult(GFN(mode, precision), height)
-    from .grfv import GFV, gfv_product
+        fuse, kind = grfn._fuse, GFN
+    else:
+        from . import grfv
 
-    if isinstance(g1, GFV) and isinstance(g2, GFV):
-        return gfv_product(g1, g2)
-    raise DomainError("product requires two GFNs or two GFVs")
+        if not (isinstance(g1, grfv.GFV) and isinstance(g2, grfv.GFV)):
+            raise DomainError("product requires two GFNs or two GFVs")
+        fuse, kind = grfv._fuse, grfv.GFV
+    (mode, _, precision), height, _ = fuse(g1, g2, math.exp)
+    return ProductResult(kind(mode, precision), height)
 
 
 def linear_combination(terms) -> GFN:

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ._normal import (Phi, as_output, as_points, at_least, constant, exp, indicator, maximum,
+from ._normal import (Phi, as_output, as_points, at_least, constant, exp, log_indicator, maximum,
                       minimum, phi, phi_over, quiet_on_arrays, where_nan)
 from .errors import ContradictoryEvidence, DomainError
 from .interval import Interval
@@ -103,7 +103,7 @@ class GRFN:
 
     @quiet_on_arrays
     def contour(self, x):
-        """Pointwise plausibility ``pl(x)``.
+        """Pointwise plausibility ``pl(x)``: the height against the point ``x``.
 
         ``(1 + h sigma2)^{-1/2} exp(-h (x - mu)^2 / (2 (1 + h sigma2)))``;
         identically 1 for a vacuous number and identically 0 for a random
@@ -111,20 +111,7 @@ class GRFN:
         indicator of its atom).
         """
         x = as_points(x)
-        if self.h == 0.0:
-            out = constant(x, 1.0)
-        elif math.isinf(self.h):
-            if self.sigma2 > 0.0:
-                out = constant(x, 0.0)
-            else:
-                out = indicator(x, self.mu)
-        else:
-            # h / (1 + h sigma2) in ratio form, finite even when h sigma2 overflows;
-            # h itself for a GFN (sigma2 = 0), where 1 / (1 / h) may round
-            hc = 1.0 / (1.0 / self.h + self.sigma2) if self.sigma2 > 0.0 else self.h
-            d = x - self.mu
-            out = exp(-0.5 * hc * d * d) / math.sqrt(1.0 + self.h * self.sigma2)
-        return as_output(out)
+        return as_output(exp(_log_height(self.h, self.sigma2, x - self.mu)))
 
     def bel_pl(self, b: Interval) -> tuple[float, float]:
         """Degrees of belief and plausibility of a bounded interval.
@@ -412,13 +399,20 @@ def _intermediates(g1: GRFN, g2: GRFN, hbar: float) -> LemmaIntermediates:
     return LemmaIntermediates(mu1t, mu2t, v1t, v2t, rho, hbar)
 
 
+def _share(a: float, b: float) -> float:
+    """``a / (a + b)`` for finite positive ``a``, ``b``; halved (exactly) if ``a + b`` overflows."""
+    t = a + b
+    return a / t if t < math.inf else (0.5 * a) / (0.5 * a + 0.5 * b)
+
+
 def effective_pair_precision(h1: float, h2: float) -> float:
     """``h1 h2 / (h1 + h2)`` extended to the degenerate precisions.
 
     A zero precision absorbs everything (result 0); an infinite precision
     is neutral (result is the other operand); two infinite precisions give
     +inf.  This is the precision governing the height of a product of two
-    Gaussian memberships.
+    Gaussian memberships.  Finite ``h1``, ``h2`` give ``lo - lo w``, ``lo = min(h1, h2)``,
+    ``w = lo / (h1 + h2) <= 1/2``: no overflow, and at least ``lo / 2`` (never 0).
     """
     if h1 == 0.0 or h2 == 0.0:
         return 0.0
@@ -426,33 +420,42 @@ def effective_pair_precision(h1: float, h2: float) -> float:
         return h2
     if math.isinf(h2):
         return h1
-    return h1 * h2 / (h1 + h2)
+    lo, hi = (h1, h2) if h1 <= h2 else (h2, h1)
+    return lo - lo * _share(lo, hi)
+
+
+def _log_height(h: float, s: float, d):
+    """``log E[exp(-h D^2 / 2)]`` for ``D ~ N(d, s)`` (elementwise on an array
+    ``d``): ``-1/2 log(1 + h s) - 1/2 hc d^2``, ``hc = h / (1 + h s)``.
+
+    ``hc`` is ``h`` at ``s = 0`` (``1 / (1/h)`` may round), else the ratio
+    form ``1 / (1/h + s)``, finite when ``h s`` overflows, or ``h / (1 + h s)``
+    when ``1/h + s`` does; so ``hc > 0``, and an overflowed ``d`` gives
+    ``-inf``, not ``0 * inf``.  ``h = 0`` gives 0; ``h = inf`` gives ``-inf``,
+    but 0 at ``d = 0`` when ``s = 0``.
+    """
+    if h == 0.0:
+        return constant(d, 0.0)
+    if math.isinf(h):
+        return log_indicator(d, 0.0) if s == 0.0 else constant(d, -math.inf)
+    if s == 0.0:
+        hc = h
+    else:
+        r = 1.0 / h + s
+        hc = 1.0 / r if r < math.inf else h / (1.0 + h * s)
+    return -0.5 * math.log1p(h * s) - 0.5 * (hc * d * d)
 
 
 def log_one_minus_kappa(g1: GRFN, g2: GRFN) -> float:
     """log of the expected height of the pairwise product of the two numbers.
 
-    The double Gaussian integral of the pair height collapses to a single
-    Gaussian form in the mode difference ``D ~ N(mu1 - mu2, sigma1^2 +
-    sigma2^2)``:
-
-        E[exp(-hbar D^2 / 2)] = (1 + hbar s^2)^{-1/2}
-                                exp(-hbar d^2 / (2 (1 + hbar s^2)))
-
-    with ``hbar = h1 h2 / (h1 + h2)``, ``d = mu1 - mu2`` and ``s^2`` the
-    variance sum.  Evaluating in log-space keeps distant modes exact.
+    The double Gaussian integral of the pair height collapses to the single
+    Gaussian height (:func:`_log_height`, the contour's) of ``hbar = h1 h2 /
+    (h1 + h2)`` in the mode difference ``D ~ N(mu1 - mu2, sigma1^2 +
+    sigma2^2)``.  Evaluating in log-space keeps distant modes exact.
     """
     hbar = effective_pair_precision(g1.h, g2.h)
-    d = g1.mu - g2.mu
-    s = g1.sigma2 + g2.sigma2
-    if hbar == 0.0:
-        return 0.0
-    if math.isinf(hbar):
-        if s == 0.0:
-            return 0.0 if d == 0.0 else -math.inf
-        return -math.inf
-    c = 1.0 + hbar * s
-    return -0.5 * math.log(c) - 0.5 * hbar * d * d / c
+    return _log_height(hbar, g1.sigma2 + g2.sigma2, g1.mu - g2.mu)
 
 
 def conflict_degree(log1mk: float) -> float:
@@ -520,18 +523,12 @@ def _fuse(g1: GRFN, g2: GRFN, weigh):
         return (inter.mu1, inter.var1, math.inf), weight, inter
     if math.isinf(h2):
         return (inter.mu2, inter.var2, math.inf), weight, inter
-    h12 = h1 + h2
-    mu12 = (h1 * inter.mu1 + h2 * inter.mu2) / h12
-    if inter.var1 == inter.var2 == 0.0:
-        # fixed modes, as in a GFN product: no h^2 that overflows or underflows
-        return (mu12, 0.0, h12), weight, inter
+    # the weights h_i / (h1 + h2): no h_i^2 or (h1 + h2)^2 to overflow or underflow
+    w1, w2 = _share(h1, h2), _share(h2, h1)
+    mu12 = w1 * inter.mu1 + w2 * inter.mu2
     sd1, sd2 = math.sqrt(inter.var1), math.sqrt(inter.var2)
-    var12 = (
-        h1 * h1 * inter.var1
-        + h2 * h2 * inter.var2
-        + 2.0 * inter.rho * h1 * h2 * sd1 * sd2
-    ) / (h12 * h12)
-    return (mu12, var12, h12), weight, inter
+    var12 = w1 * w1 * inter.var1 + w2 * w2 * inter.var2 + 2.0 * inter.rho * w1 * w2 * sd1 * sd2
+    return (mu12, var12, h1 + h2), weight, inter
 
 
 def combine_many(gs) -> GRFN:

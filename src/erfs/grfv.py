@@ -7,14 +7,14 @@ vacuous extension (nothing asserted about those coordinates), a zero
 ``Sigma`` a possibilistic vector.  The Gaussian fuzzy vector
 ``GFV(mode, precision)`` is that possibilistic vector,
 ``GRFV(mode, 0, precision)``: its membership is the contour, its
-projection the marginal, and :func:`gfv_product` is :func:`combine` at
-``Sigma = 0`` without the conflict cutoff.
+projection the marginal, and :func:`erfs.fuzzy.product` of two GFVs is
+:func:`combine` at ``Sigma = 0`` without the conflict cutoff (both run
+:func:`_fuse`).
 
-:func:`combine`, :meth:`GRFV.contour` and :meth:`GRFV.marginalize` hold
-for any PSD ``Sigma`` and ``H``.  Combination and contour factor, by LU,
-only ``I + Hbar S`` and ``I + Sigma H``, which stay nonsingular there (the
-eigenvalues of a product of two PSD matrices are >= 0); one that rounds to
-singular, as ``1 + 1e160`` does, raises :class:`DomainError`.
+All of it holds for any PSD ``Sigma`` and ``H``.  One Gaussian height,
+:func:`_log_height`, gives the contour, the conflict of :func:`combine`
+and the GFV product's height, with one overflow rule for all three; it
+factors, by LU, only ``I + h s``, which stays nonsingular for a PSD pair.
 Marginalization takes a generalized Schur complement.  The conflict is
 formed in log-space.
 
@@ -24,7 +24,6 @@ vacuous extension fuses with evidence on the missing coordinates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,10 +38,9 @@ from ._linalg import (  # noqa: F401 - perfbench's traced run patches SpdFactor 
     schur_complement_keep_leading,
 )
 from .errors import DomainError
-from .fuzzy import ProductResult
 from .grfn import conflict_degree
 
-__all__ = ["GFV", "GRFV", "GrfvFusion", "GrfvIntermediates", "combine", "gfv_product"]
+__all__ = ["GFV", "GRFV", "GrfvFusion", "GrfvIntermediates", "combine"]
 
 _DIAG_RTOL = 1e-12
 
@@ -80,31 +78,14 @@ class GRFV:
 
     def contour(self, x):
         """Pointwise plausibility: ``|I + Sigma H|^{-1/2} exp(-q/2)`` with
-        ``q = (x - mu)^T (H^{-1} + Sigma)^{-1} (x - mu)``.
-
-        ``(H^-1 + Sigma)^-1 = H M^-1`` with ``M = I + Sigma H``, so
-        ``q = (H d)^T M^-1 d``; ``M`` is nonsingular for any PSD ``Sigma``
-        and ``H``, and a zero ``H`` gives the constant 1.  The offset is
-        formed halved, ``e = x/2 - mu/2``, which is exact and finite for
-        finite inputs, and ``q = 4 (H e)^T M^-1 e``: an offset that
-        overflows in a vacuous coordinate drops out, a ``q`` that overflows
-        is inf (contour 0), and a NaN or ``-inf`` ``q`` (``q >= 0`` in exact
-        arithmetic) raises :class:`DomainError`.
+        ``q = (x - mu)^T (H^{-1} + Sigma)^{-1} (x - mu)``, the height
+        (:func:`_log_height`) against the point ``x``; 1 for a zero ``H``.
         """
-        with np.errstate(over="ignore", invalid="ignore"):  # as_matrix rejects an overflow
-            sh = self.Sigma @ self.H
-        m = as_matrix(np.eye(self.dim) + sh, "I + Sigma H")
-        log_norm = -0.5 * _logdet_nonsingular(m, "I + Sigma H")
-        e = 0.5 * np.asarray(x, dtype=float) - 0.5 * self.mu
-        with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-            if e.ndim == 1:
-                q = (self.H @ e) @ np.linalg.solve(m, e)
-            else:
-                q = np.einsum("ij,ji->i", e @ self.H, np.linalg.solve(m, e.T))
-        if not np.all(q > -np.inf):
-            raise DomainError("the contour's quadratic form overflowed to NaN or -inf")
-        out = np.exp(log_norm - 2.0 * q)
-        return float(out) if e.ndim == 1 else out
+        with np.errstate(over="ignore", invalid="ignore"):  # _log_height rejects an overflow
+            log_height = _log_height(self.H, self.Sigma, np.asarray(x, dtype=float), self.mu,
+                                     "I + Sigma H")[0]
+        out = np.exp(log_height)
+        return float(out) if out.ndim == 0 else out
 
     def marginalize(self, keep: int) -> "GRFV":
         """Marginal on the leading ``keep`` coordinates: the kept block's
@@ -224,6 +205,34 @@ class GrfvFusion:
         }
 
 
+def _log_height(h, s, x, y, name: str):
+    """``log E[exp(-1/2 D^T h D)]`` for ``D ~ N(x - y, s)`` (``x`` may be a
+    batch of rows), with the ``M = I + h s`` it factors and the offset ``e``:
+
+        -1/2 log|M| - 1/2 q,    q = d^T (h^-1 + s)^-1 d = (d h) M^-T d.
+
+    ``M`` is nonsingular for PSD ``h``, ``s`` (``h s`` has eigenvalues >= 0).
+    The offset is halved, ``e = x/2 - y/2``, exact and finite for finite
+    inputs, and ``q = 4 (e h) M^-T e``.  A non-finite ``M``, one with a zero
+    LU pivot (``1 + 1e160`` rounds away the 1) and a ``q`` (>= 0 in exact
+    arithmetic) that overflows to NaN or ``-inf`` raise typed errors naming
+    them; a ``q`` of inf is a height of 0.  The caller silences numpy's
+    overflow warnings.
+    """
+    m = as_matrix(np.eye(h.shape[0]) + h @ s, name)
+    sign, logdet = np.linalg.slogdet(m)
+    if sign == 0.0:
+        raise DomainError(f"{name} is singular in floating point")
+    e = 0.5 * x - 0.5 * y
+    if e.ndim == 1:
+        q = (e @ h) @ np.linalg.solve(m.T, e)
+    else:
+        q = np.einsum("ij,ji->i", e @ h, np.linalg.solve(m.T, e.T))
+    if not (q > -np.inf).all():  # NaN fails this test too
+        raise DomainError(f"the quadratic form with {name} overflowed to NaN or -inf")
+    return -0.5 * logdet - 2.0 * q, m, e
+
+
 def combine(g1: GRFV, g2: GRFV) -> GrfvFusion:
     """Generalized product-intersection combination of two independent GRFVs.
 
@@ -239,7 +248,9 @@ def combine(g1: GRFV, g2: GRFV) -> GrfvFusion:
     ``M = I + Hbar S``, ``d = mu1 - mu2`` and
     ``G = (Hbar^-1 + S)^-1 = M^-1 Hbar``,
 
-        log(1 - kappa) = -1/2 log|M| - 1/2 d^T G d.
+        log(1 - kappa) = -1/2 log|M| - 1/2 d^T G d,
+
+    the height :func:`_log_height` of ``Hbar`` and ``S`` at ``d``.
 
     The joint mode law conditioned on consistency has mean
     ``[mu1 - Sigma1 G d; mu2 + Sigma2 G d]`` and covariance
@@ -248,61 +259,41 @@ def combine(g1: GRFV, g2: GRFV) -> GrfvFusion:
     map ``A = [I - A2, A2]``, ``A2 = (H1 + H2)^-1 H2``.  The conflict is
     decided before any mode-law work, so a rejected fusion stops there.
     """
+    (mu, sigma, h), kappa, inter = _fuse(g1, g2, conflict_degree)
+    return GrfvFusion(GRFV(mu, sigma, h), kappa, inter)
+
+
+def _fuse(g1: GRFV, g2: GRFV, weigh):
+    """The product-intersection rule of :func:`combine` and of
+    :func:`erfs.fuzzy.product` (two GFVs), the vector twin of
+    :func:`erfs.grfn._fuse`.
+
+    Returns the combined ``(mu, Sigma, H)``, ``weigh(log(1 - kappa))`` and
+    the intermediates.  ``weigh`` is the caller's conflict policy; it runs
+    before the mode law is formed, so it may reject the pair.
+    """
     if g1.dim != g2.dim:
         raise DomainError(f"dimension mismatch: {g1.dim} vs {g2.dim}")
     p = g1.dim
     a2, hbar = parallel_sum(g1.H, g2.H)
-
     s1, s2 = g1.Sigma, g2.Sigma
-    with np.errstate(over="ignore", invalid="ignore"):  # conflict_degree rejects an overflow
-        d = g1.mu - g2.mu
-        m = np.eye(p) + hbar @ (s1 + s2)
-        # d^T G d without forming G: a rejected fusion stops after one vector solve
-        log_norm = -0.5 * _logdet_nonsingular(m, "I + Hbar S")
-        log1mk = log_norm - 0.5 * float(d @ np.linalg.solve(m, hbar @ d))
-    kappa = conflict_degree(log1mk)
+    # a mode law that overflows is rejected by GRFV, the conflict by _log_height
+    with np.errstate(over="ignore", invalid="ignore"):
+        log1mk, m, e = _log_height(hbar, s1 + s2, g1.mu, g2.mu, "I + Hbar S")
+        weight = weigh(log1mk)
 
-    g = np.linalg.solve(m, hbar)
-    g = 0.5 * (g + g.T)
-    gd = g @ d
-    a = np.hstack([np.eye(p) - a2, a2])
-    mu_tilde = np.concatenate([g1.mu - s1 @ gd, g2.mu + s2 @ gd])
-    c = np.vstack([s1, -s2])
-    sigma_tilde = -(c @ g @ c.T)
-    sigma_tilde[:p, :p] += s1
-    sigma_tilde[p:, p:] += s2
-    sigma_tilde = 0.5 * (sigma_tilde + sigma_tilde.T)
+        g = np.linalg.solve(m, hbar)
+        g = 0.5 * (g + g.T)
+        gd = 2.0 * (g @ e)  # d = 2 e may overflow in a coordinate that G ignores
+        a = np.hstack([np.eye(p) - a2, a2])
+        mu_tilde = np.concatenate([g1.mu - s1 @ gd, g2.mu + s2 @ gd])
+        c = np.vstack([s1, -s2])
+        sigma_tilde = -(c @ g @ c.T)
+        sigma_tilde[:p, :p] += s1
+        sigma_tilde[p:, p:] += s2
+        sigma_tilde = 0.5 * (sigma_tilde + sigma_tilde.T)
 
-    mu12 = a @ mu_tilde
-    sigma12 = a @ sigma_tilde @ a.T
-    sigma12 = 0.5 * (sigma12 + sigma12.T)
-    combined = GRFV(mu12, sigma12, g1.H + g2.H)
-    inter = GrfvIntermediates(mu_tilde, sigma_tilde, hbar, a)
-    return GrfvFusion(combined, kappa, inter)
-
-
-def gfv_product(g1: GFV, g2: GFV) -> ProductResult:
-    """Normalized product intersection of two GFVs: :func:`combine` at
-    ``Sigma = 0`` without its conflict cutoff.  Mode ``m1 - A2 (m1 - m2)``,
-    precision ``H1 + H2``, log height ``-1/2 d^T Hbar d``; a quadratic form
-    that overflows to NaN or ``-inf`` (it is >= 0 in exact arithmetic) raises
-    :class:`DomainError`."""
-    if g1.dim != g2.dim:
-        raise DomainError(f"dimension mismatch: {g1.dim} vs {g2.dim}")
-    a2, hbar = parallel_sum(g1.H, g2.H)
-    with np.errstate(over="ignore", invalid="ignore"):  # GFV and the test below reject these
-        d = g1.mu - g2.mu
-        m12 = g1.mu - a2 @ d
-        q = float(d @ hbar @ d)
-    if not q > -math.inf:
-        raise DomainError("the product's quadratic form overflowed to NaN or -inf")
-    return ProductResult(GFV(m12, g1.H + g2.H), math.exp(-0.5 * q))
-
-
-def _logdet_nonsingular(m: np.ndarray, name: str) -> float:
-    """``log|det m|``; :class:`DomainError` naming ``m`` when its LU
-    factorization has a zero pivot, where ``np.linalg.solve`` would raise."""
-    sign, logdet = np.linalg.slogdet(m)
-    if sign == 0.0:
-        raise DomainError(f"{name} is singular in floating point")
-    return logdet
+        mu12 = a @ mu_tilde
+        sigma12 = a @ sigma_tilde @ a.T
+        sigma12 = 0.5 * (sigma12 + sigma12.T)
+    return (mu12, sigma12, g1.H + g2.H), weight, GrfvIntermediates(mu_tilde, sigma_tilde, hbar, a)

@@ -136,3 +136,39 @@ def grfv_combination_by_dense_k_form(mu1, s1, h1, mu2, s2, h2):
         "Hbar": hbar,
         "A": a,
     }
+
+
+def pair_precision_mp(h1, h2, dps=50):
+    """``h1 h2 / (h1 + h2)`` for finite positive precisions, as ``1 / (1/h1 + 1/h2)``
+    at ``dps`` digits (mpmath)."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        return 1 / (1 / mpmath.mpf(h1) + 1 / mpmath.mpf(h2))
+
+
+def grfn_fusion_by_kalman_update(g1, g2, dps=50):
+    """Combined ``(mu, sigma2, h, log(1 - kappa))`` of two GRFNs with finite
+    positive precisions, at ``dps`` digits (mpmath), derived as a Kalman update.
+
+    The pair height ``exp(-hbar (M1 - M2)^2 / 2)`` is the likelihood of
+    observing ``M1 - M2 = 0`` with noise variance ``r = 1/h1 + 1/h2``.  With
+    the innovation variance ``n = sigma1^2 + sigma2^2 + r`` and ``d = mu1 - mu2``,
+    the pair law updates to mean ``(mu1 - v1 d / n, mu2 + v2 d / n)`` and
+    covariance ``diag(v1, v2) - (v1, -v2)^T (v1, -v2) / n``; the combined mode
+    is its ``h``-weighted average, and ``1 - kappa = sqrt(r / n) exp(-d^2 / (2 n))``.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        h1, h2, mu1, mu2, v1, v2 = (mpmath.mpf(v) for v in (g1.h, g2.h, g1.mu, g2.mu,
+                                                             g1.sigma2, g2.sigma2))
+        r = 1 / h1 + 1 / h2
+        n = v1 + v2 + r
+        d = mu1 - mu2
+        m1, m2 = mu1 - v1 * d / n, mu2 + v2 * d / n
+        c11, c22, c12 = v1 - v1 * v1 / n, v2 - v2 * v2 / n, v1 * v2 / n
+        w1, w2 = h1 / (h1 + h2), h2 / (h1 + h2)
+        mu = w1 * m1 + w2 * m2
+        var = w1 * w1 * c11 + w2 * w2 * c22 + 2 * w1 * w2 * c12
+        return mu, var, h1 + h2, mpmath.log(r / n) / 2 - d * d / (2 * n)

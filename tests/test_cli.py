@@ -591,15 +591,71 @@ def test_overflowing_vector_products_print_only_the_error(tmp_path):
         (["combine", flat, doc], 2, "I + Hbar S is singular in floating point"),
         (["conflict", doc, flat], 2, "I + Hbar S is singular in floating point"),
         (["eval", wide, "--at", "0,0"], 2, "I + Sigma H is singular in floating point"),
-        (["combine", *gfvs], 2, "the product's quadratic form overflowed to NaN or -inf"),
-        (["conflict", *gfvs], 2, "the product's quadratic form overflowed to NaN or -inf"),
+        (["combine", *gfvs], 2, "the quadratic form with I + Hbar S overflowed to NaN or -inf"),
+        (["conflict", *gfvs], 2, "the quadratic form with I + Hbar S overflowed to NaN or -inf"),
+        # Sigma H and Hbar S overflow
         (["eval", doc, "--at", "0.5,0.5"], 2, "I + Sigma H contains non-finite entries"),
-        (["combine", doc, doc], 1, "degree of conflict rounds to 1 (log(1 - kappa) = -inf)"),
-        # Sigma1 + Sigma2 overflows, then mu1 - mu2
-        (["combine", big, big], 2, "log(1 - kappa) is NaN: the conflict overflowed"),
-        (["combine", *far], 2, "log(1 - kappa) is NaN: the conflict overflowed"),
+        (["combine", doc, doc], 2, "I + Hbar S contains non-finite entries"),
+        # Sigma1 + Sigma2 overflows
+        (["combine", big, big], 2, "I + Hbar S contains non-finite entries"),
+        # mu1 - mu2 overflows; the halved offset does not, and the modes are 2e308 apart
+        (["combine", *far], 1, "degree of conflict rounds to 1 (log(1 - kappa) = -inf)"),
     ):
         proc = subprocess.run([sys.executable, "-m", "erfs.cli", *argv], capture_output=True,
                               text=True, env=env, timeout=120)
         assert proc.returncode == code
         assert proc.stdout == "" and proc.stderr == f"error: {msg}\n"
+
+
+def _grfn(mu, sigma2, h):
+    return {"type": "grfn", "mu": mu, "sigma2": sigma2, "h": h}
+
+
+# a 3-D pair whose d^T Hbar d overflows to -inf; as grfv documents, combine printed kappa=0
+_FAR_3D = [
+    ([-2.90782897929633e+248, -1.8811537212603302e+163, -3.61222945159019e+281],
+     [[0.8550275232056432, 0.3304250640331801, -0.17283826219451362],
+      [0.3304250640331801, 0.8486473259775337, -0.21584440175245612],
+      [-0.17283826219451362, -0.21584440175245612, 0.6407961080583551]]),
+    ([2.2887472680706867e+248, 4.502907184422044e+162, 3.166062152388798e+281],
+     [[0.9539179390707729, 1.1200144790250326, -0.12092133033888357],
+      [1.1200144790250326, 1.8961972887313339, -0.3352858631306368],
+      [-0.12092133033888357, -0.3352858631306368, 0.2596439395879352]]),
+]
+_ZERO_3D = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+
+
+def _far_3d(i, kind):
+    mu, h = _FAR_3D[i]
+    if kind == "gfv":
+        return {"type": "gfv", "mode": mu, "precision": h}
+    return {"type": "grfv", "mu": mu, "Sigma": _ZERO_3D, "H": h}
+
+
+@pytest.mark.parametrize("docs, argv, code, stdout", [
+    # (h1 + h2)^2 underflowed, then h1^2 overflowed times a zero variance
+    ([_grfn(1, 1, 1e-170)] * 2, ["combine"], 0, "step 1: kappa=5e-171\n"),
+    ([{"type": "gfn", "mode": 0, "precision": 1e160}, _grfn(0, 1, 1)], ["combine"], 0,
+     "step 1: kappa=0.292893218813\n"),
+    # h1 h2 overflows: kappa is about 5e-101, then NaN instead of total conflict
+    ([_grfn(0, 1e-300, 1e200)] * 2, ["combine"], 0, "step 1: kappa=5e-101\n"),
+    ([_grfn(0, 1, 1e308)] * 2, ["combine"], 1, ""),
+    # h sigma2 and the offset both overflow
+    ([_grfn(0, 1e300, 1e10), _grfn(1e200, 1e300, 1e10)], ["combine"], 1, ""),
+    # -0.5 h underflows to -0.0 against an offset of inf
+    ([_grfn(-1.7e308, 1, 5e-324)], ["eval", "--at", "1e308"], 0, "1e308,0\n"),
+    *[([_far_3d(0, a), _far_3d(1, b)], [cmd], 2, "")
+      for cmd in ("combine", "conflict") for a, b in (("grfv",) * 2, ("gfv",) * 2, ("grfv", "gfv"))],
+], ids=["tiny-h", "huge-gfn", "pair-precision", "pair-precision-nan", "offset-and-h-sigma2",
+        "subnormal-h", *[f"{cmd}-3d-{kinds}" for cmd in ("combine", "conflict")
+                         for kinds in ("grfv", "gfv", "mixed")]])
+def test_extreme_magnitudes_answer_or_fail_typed(docs, argv, code, stdout, tmp_path, capsys):
+    paths = [write_doc(tmp_path, f"{i}.json", doc) for i, doc in enumerate(docs)]
+    cmd, *options = argv
+    assert main([cmd, *paths, *options]) == code
+    out, err = capsys.readouterr()
+    assert out.startswith(stdout) and "nan" not in out.lower()
+    if code:
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+    else:
+        assert err == ""

@@ -19,7 +19,9 @@ from erfs.grfn import (
     combine,
     combine_many,
     conflict_degree,
+    effective_pair_precision,
     linear_combination,
+    log_one_minus_kappa,
     vacuous,
 )
 from erfs.interval import Interval
@@ -27,7 +29,9 @@ from oracles import (
     belpl_by_cut_integration,
     contour_by_mode_integration,
     cut_halfwidth_by_integration,
+    grfn_fusion_by_kalman_update,
     grfn_kappa_by_verbatim_formula,
+    pair_precision_mp,
     random_grfn_params,
 )
 
@@ -86,6 +90,21 @@ class TestContour:
             assert g.contour(x) == pytest.approx(
                 contour_by_mode_integration(mu, s2, h, x), abs=1e-9
             )
+
+    @given(g=st.builds(GRFN, st.floats(allow_nan=False, allow_infinity=False),
+                       st.floats(min_value=0.0, allow_infinity=False),
+                       st.floats(min_value=0.0)),
+           x=st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=300, deadline=None)
+    def test_contour_is_one_minus_kappa_against_the_point(self, g, x):
+        # one Gaussian height: the contour at x is the height of g against the point x
+        assert g.contour(x) == math.exp(log_one_minus_kappa(g, GRFN(x, 0.0, math.inf)))
+
+    def test_tiny_precision_against_an_overflowing_offset(self):
+        # -0.5 h underflows to -0.0 for the least subnormal h, and -0.0 * inf is NaN
+        g = GRFN(-1.7e308, 1.0, 5e-324)
+        assert g.contour(1e308) == 0.0
+        np.testing.assert_array_equal(g.contour(np.array([1e308, -1.7e308])), [0.0, 1.0])
 
     def test_total_integral(self):
         # the contour integrates to sqrt(2 pi / h) regardless of sigma2
@@ -345,6 +364,51 @@ class TestCombine:
         assert f1.combined.sigma2 == pytest.approx(f2.combined.sigma2, rel=1e-12, abs=1e-12)
         assert f1.combined.h == pytest.approx(f2.combined.h, rel=1e-12)
         assert f1.kappa == pytest.approx(f2.kappa, abs=1e-12)
+
+
+class TestExtremePrecisions:
+    """Precisions whose square, product or reciprocal leaves the float range."""
+
+    @pytest.mark.parametrize("g1, g2", [
+        # (h1 + h2)^2 underflows
+        (GRFN(1.0, 1.0, 1e-170), GRFN(1.0, 1.0, 1e-170)),
+        # h1^2 overflows, times the GFN's variance 0
+        (GFN(0.0, 1e160), GRFN(0.0, 1.0, 1.0)),
+        # h1 h2 overflows; kappa is about 5e-101
+        (GRFN(0.0, 1e-300, 1e200), GRFN(0.0, 1e-300, 1e200)),
+        (GRFN(-1.0, 2.0, 1e308), GRFN(3.0, 0.5, 1e-300)),
+    ], ids=["tiny", "gfn-huge", "product-overflows", "far-apart"])
+    def test_fusion_matches_the_kalman_update(self, g1, g2):
+        f = combine(g1, g2)
+        mu, sigma2, h, log1mk = (float(v) for v in grfn_fusion_by_kalman_update(g1, g2))
+        # 5e-321 in the gfn-huge case is subnormal: an absolute floor of 1e-300
+        assert f.combined.mu == pytest.approx(mu, rel=1e-12, abs=1e-300)
+        assert f.combined.sigma2 == pytest.approx(sigma2, rel=1e-12, abs=1e-300)
+        assert f.combined.h == pytest.approx(h, rel=1e-15)
+        assert log_one_minus_kappa(g1, g2) == pytest.approx(log1mk, rel=1e-12)
+        assert f.kappa == pytest.approx(-math.expm1(log1mk), rel=1e-12)
+
+    @pytest.mark.parametrize("g1, g2", [
+        # h sigma2 = 1e310 and the modes are 1e200 apart: -inf, not inf / inf
+        (GRFN(0.0, 1e300, 1e10), GRFN(1e200, 1e300, 1e10)),
+        # h1 h2 overflows: hbar is 5e307, not NaN
+        (GRFN(0.0, 1.0, 1e308), GRFN(0.0, 1.0, 1e308)),
+    ], ids=["offset", "product"])
+    def test_total_conflict_where_intermediates_overflow(self, g1, g2):
+        with pytest.raises(ContradictoryEvidence, match="rounds to 1"):
+            combine(g1, g2)
+
+    def test_pair_precision_on_the_whole_float_range(self):
+        scales = [5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-170, 1e-8, 0.7, 1.0, 3.0,
+                  1e8, 1e160, 1e300, 1e307, 8.988465674311579e307, 1.7e308, 1.7976931348623157e308]
+        rng = np.random.default_rng(12)
+        scales += [float(v) for v in 10.0 ** rng.uniform(-323.0, 308.2, size=40)]
+        for h1 in scales:
+            for h2 in scales:
+                got = effective_pair_precision(h1, h2)
+                ref = pair_precision_mp(h1, h2)
+                assert 0.0 < got < math.inf and got == effective_pair_precision(h2, h1)
+                assert abs(got - ref) <= 2 * math.ulp(float(ref)), (h1, h2)
 
 
 class TestConflictDegree:

@@ -99,6 +99,18 @@ class TestOverflowingOffsets:
         assert g.contour(np.array([-1e308, 0.0])) == 0.0
         assert GFV([1e308, 0.0], np.eye(2)).membership(np.array([[-1e308, 0.0]])).tolist() == [0.0]
 
+    def test_fusion_across_an_offset_that_overflows(self):
+        # mu1 - mu2 overflows where the first source is vacuous: the second one decides
+        f = combine(GRFV([0.0, 1e308], np.eye(2), np.diag([1.0, 0.0])),
+                    GRFV([0.0, -1e308], np.eye(2), np.eye(2)))
+        assert f.kappa == pytest.approx(1.0 - 1.0 / math.sqrt(2.0), rel=1e-15)
+        np.testing.assert_array_equal(f.combined.mu, [0.0, -1e308])
+        assert_allclose(f.combined.Sigma, np.diag([0.5, 1.0]), rtol=1e-15)
+        # modes 2e308 apart: the product is the midpoint at height 0, as for GFNs
+        r = product(GFV([1e308, 0.0], np.eye(2)), GFV([-1e308, 0.0], np.eye(2)))
+        assert r.height == 0.0
+        np.testing.assert_array_equal(r.product.mode, [0.0, 0.0])
+
     @pytest.mark.parametrize("g, x", [
         # H e = (inf, 5e307) against e = (0, 5e307): inf * 0 is NaN
         (GFV([0.0, 0.0], [[100.0, 10.0], [10.0, 1.0]]), [0.0, 1e308]),
@@ -132,13 +144,17 @@ class TestContour:
         assert g.contour(xs) == pytest.approx(per_coord, rel=1e-12)
 
     def test_one_dimensional_reduction(self):
-        rng = np.random.default_rng(3)
+        # the contour and the conflict are one Gaussian height in each module
+        rng, other_rng = np.random.default_rng(3), np.random.default_rng(4)
         for _ in range(100):
             mu, s2, h = random_grfn_params(rng)
             x = mu + rng.uniform(-4.0, 4.0)
             gv = GRFV([mu], [[s2]], [[h]])
             gn = GRFN(mu, s2, h)
             assert gv.contour(np.array([x])) == pytest.approx(gn.contour(x), abs=1e-12)
+            mu2, s22, h2 = random_grfn_params(other_rng)
+            kappa = combine(gv, GRFV([mu2], [[s22]], [[h2]])).kappa
+            assert abs(kappa - combine_1d(gn, GRFN(mu2, s22, h2)).kappa) <= 2 * math.ulp(1.0)
 
     def test_batch_evaluation(self):
         g = GRFV([0.0, 0.0], np.eye(2), np.eye(2))

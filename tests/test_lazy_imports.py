@@ -137,6 +137,12 @@ SCALAR_MODULES = ("fuzzy.py", "grfn.py", "interval.py", "errors.py")
 
 def _array_dependencies(tree: ast.AST) -> list[str]:
     """Imports of numpy, scipy or ``._linalg`` and calls of ``load_numpy``, at any depth."""
+    return _dependencies(tree, lambda n: n.split(".")[0] in ("numpy", "scipy")
+                         or n in ("._linalg", "load_numpy()"))
+
+
+def _dependencies(tree: ast.AST, wanted) -> list[str]:
+    """Imports and ``load_numpy`` calls whose name ``wanted`` accepts, at any depth."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -149,16 +155,28 @@ def _array_dependencies(tree: ast.AST) -> list[str]:
             names = ["load_numpy()"] if getattr(f, "id", getattr(f, "attr", None)) == "load_numpy" else []
         else:
             continue
-        found += [f"line {node.lineno}: {n}" for n in names
-                  if n.split(".")[0] in ("numpy", "scipy") or n in ("._linalg", "load_numpy()")]
+        found += [f"line {node.lineno}: {n}" for n in names if wanted(n)]
     return found
+
+
+def _parse(module: str) -> ast.AST:
+    with open(os.path.join(SRC, "erfs", module), encoding="utf-8") as fh:
+        return ast.parse(fh.read())
 
 
 @pytest.mark.parametrize("module", SCALAR_MODULES)
 def test_scalar_modules_never_reach_for_numpy(module):
-    with open(os.path.join(SRC, "erfs", module), encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    assert _array_dependencies(tree) == []
+    assert _array_dependencies(_parse(module)) == []
+
+
+def _from_fuzzy(name: str) -> bool:
+    return name in (".fuzzy", "erfs.fuzzy") or name.startswith((".fuzzy.", "erfs.fuzzy."))
+
+
+@pytest.mark.parametrize("module", ("grfn.py", "grfv.py"))
+def test_model_modules_never_import_fuzzy(module):
+    # erfs.fuzzy builds its product on the models' _fuse, never the reverse
+    assert _dependencies(_parse(module), _from_fuzzy) == []
 
 
 def test_array_dependency_scan_sees_nested_uses():
@@ -167,3 +185,10 @@ def test_array_dependency_scan_sees_nested_uses():
                      "    return load_numpy(), _normal.load_numpy()\n")
     assert [s.split(": ")[1] for s in _array_dependencies(tree)] == [
         "numpy.linalg", "._linalg", "._linalg", "scipy", "scipy.special", "load_numpy()", "load_numpy()"]
+
+
+def test_fuzzy_import_scan_sees_every_spelling():
+    tree = ast.parse("from .fuzzy import ProductResult\nfrom . import fuzzy\nimport erfs.fuzzy\n"
+                     "from .fuzzy_sets import x\n")
+    assert [s.split(": ")[1] for s in _dependencies(tree, _from_fuzzy)] == [
+        ".fuzzy", ".fuzzy.ProductResult", ".fuzzy", "erfs.fuzzy"]
