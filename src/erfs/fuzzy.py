@@ -58,7 +58,7 @@ def product(g1, g2) -> ProductResult:
         if not (isinstance(g1, grfv.GFV) and isinstance(g2, grfv.GFV)):
             raise DomainError("product requires two GFNs or two GFVs")
         fuse, kind = grfv._fuse, grfv.GFV
-    (mode, _, precision), height, _ = fuse(g1, g2, math.exp)
+    (mode, _, precision), height, *_ = fuse(g1, g2, math.exp)
     return ProductResult(kind(mode, precision), height)
 
 

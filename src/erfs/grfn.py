@@ -51,6 +51,8 @@ __all__ = [
 
 # 1 - kappa below this threshold counts as total conflict
 _CONFLICT_EPS = 1e-15
+# the smallest normal float: a product below it has lost precision
+_NORMAL_MIN = 2.0 ** -1022
 
 
 class GrfnKind(enum.Enum):
@@ -366,27 +368,34 @@ class GrfnFusion:
     kappa: float
     intermediates: LemmaIntermediates
 
-    def to_dict(self) -> dict:
-        return {
-            "combined": self.combined.to_dict(),
-            "kappa": self.kappa,
-            "intermediates": self.intermediates._asdict(),
-        }
-
 
 def _intermediates(g1: GRFN, g2: GRFN, hbar: float) -> LemmaIntermediates:
-    mu1, v1 = g1.mu, g1.sigma2
-    mu2, v2 = g2.mu, g2.sigma2
-    s = v1 + v2
-    if s == 0.0:
+    mu1, mu2, v1, v2 = g1.mu, g2.mu, g1.sigma2, g2.sigma2
+    if v1 == 0.0 and v2 == 0.0:
         # both modes fixed: nothing to condition (and no inf * 0 below)
         return LemmaIntermediates(mu1, mu2, 0.0, 0.0, 0.0, hbar)
+    law = _pair_law(mu1, mu2, v1, v2, hbar)
+    if math.isfinite(sum(law)) and (v1 * v2 >= _NORMAL_MIN or v1 == 0.0 or v2 == 0.0):
+        return LemmaIntermediates(*law, hbar)
+    # v1 v2, v1 + v2 or mu (1 + hbar v) left the float range: the law is
+    # homogeneous of degree 1 in the modes and in the variances against
+    # 1 / hbar, so rerun it on exact power-of-two rescalings, the modes over
+    # cm (about the larger |mu|) and the variances over cv (their geometric mean)
+    frexp = math.frexp
+    cm = math.ldexp(1.0, min(max(frexp(mu1)[1], frexp(mu2)[1]), 1023))
+    cv = math.ldexp(1.0, min((frexp(v1)[1] + frexp(v2)[1]) // 2, 1023))
+    m1, m2, w1, w2, rho = _pair_law(mu1 / cm, mu2 / cm, v1 / cv, v2 / cv, hbar * cv)
+    return LemmaIntermediates(m1 * cm, m2 * cm, w1 * cv, w2 * cv, rho, hbar)
+
+
+def _pair_law(mu1: float, mu2: float, v1: float, v2: float, hbar: float) -> tuple:
+    """Means, variances and correlation of the soft-conditioned mode pair."""
+    s = v1 + v2
     if math.isinf(hbar):
         # both operands probabilistic: conditioning on exact mode agreement
         m = (mu1 * v2 + mu2 * v1) / s
         v = v1 * v2 / s
-        rho = 1.0 if (v1 > 0.0 and v2 > 0.0) else 0.0
-        return LemmaIntermediates(m, m, v, v, rho, hbar)
+        return m, m, v, v, 1.0 if (v1 > 0.0 and v2 > 0.0) else 0.0
     denom = 1.0 + hbar * s
     mu1t = (mu1 * (1.0 + hbar * v2) + mu2 * hbar * v1) / denom
     mu2t = (mu2 * (1.0 + hbar * v1) + mu1 * hbar * v2) / denom
@@ -396,7 +405,7 @@ def _intermediates(g1: GRFN, g2: GRFN, hbar: float) -> LemmaIntermediates:
         rho = hbar * math.sqrt(v1 * v2) / math.sqrt((1.0 + hbar * v1) * (1.0 + hbar * v2))
     else:
         rho = 0.0
-    return LemmaIntermediates(mu1t, mu2t, v1t, v2t, rho, hbar)
+    return mu1t, mu2t, v1t, v2t, rho
 
 
 def _share(a: float, b: float) -> float:
@@ -455,7 +464,11 @@ def log_one_minus_kappa(g1: GRFN, g2: GRFN) -> float:
     sigma2^2)``.  Evaluating in log-space keeps distant modes exact.
     """
     hbar = effective_pair_precision(g1.h, g2.h)
-    return _log_height(hbar, g1.sigma2 + g2.sigma2, g1.mu - g2.mu)
+    s = g1.sigma2 + g2.sigma2
+    if s == math.inf:
+        # the same height: D / 2 ~ N(d / 2, s / 4) under precision 4 hbar
+        return _log_height(4.0 * hbar, 0.25 * g1.sigma2 + 0.25 * g2.sigma2, 0.5 * (g1.mu - g2.mu))
+    return _log_height(hbar, s, g1.mu - g2.mu)
 
 
 def conflict_degree(log1mk: float) -> float:

@@ -25,7 +25,6 @@ vacuous extension fuses with evidence on the missing coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +39,7 @@ from ._linalg import (  # noqa: F401 - perfbench's traced run patches SpdFactor 
 from .errors import DomainError
 from .grfn import conflict_degree
 
-__all__ = ["GFV", "GRFV", "GrfvFusion", "GrfvIntermediates", "combine"]
+__all__ = ["GFV", "GRFV", "GrfvFusion", "combine"]
 
 _DIAG_RTOL = 1e-12
 
@@ -177,32 +176,10 @@ def _is_diagonal(a: np.ndarray) -> bool:
     return bool(np.max(np.abs(off)) <= _DIAG_RTOL * scale)
 
 
-class GrfvIntermediates(NamedTuple):
-    """Soft-conditioned joint mode law over the stacked (2p) mode pair."""
-
-    mu: np.ndarray       # (2p,)
-    Sigma: np.ndarray    # (2p, 2p)
-    Hbar: np.ndarray     # (p, p)
-    A: np.ndarray        # (p, 2p) precision-weighted averaging map
-
-
 @dataclass(frozen=True)
 class GrfvFusion:
     combined: GRFV
     kappa: float
-    intermediates: GrfvIntermediates
-
-    def to_dict(self) -> dict:
-        return {
-            "combined": self.combined.to_dict(),
-            "kappa": self.kappa,
-            "intermediates": {
-                "mu": self.intermediates.mu.tolist(),
-                "Sigma": self.intermediates.Sigma.tolist(),
-                "Hbar": self.intermediates.Hbar.tolist(),
-                "A": self.intermediates.A.tolist(),
-            },
-        }
 
 
 def _log_height(h, s, x, y, name: str):
@@ -252,15 +229,20 @@ def combine(g1: GRFV, g2: GRFV) -> GrfvFusion:
 
     the height :func:`_log_height` of ``Hbar`` and ``S`` at ``d``.
 
-    The joint mode law conditioned on consistency has mean
-    ``[mu1 - Sigma1 G d; mu2 + Sigma2 G d]`` and covariance
-    ``diag(Sigma1, Sigma2) - [Sigma1; -Sigma2] G [Sigma1, -Sigma2]``; the
-    combined mode law is its image under the precision-weighted averaging
-    map ``A = [I - A2, A2]``, ``A2 = (H1 + H2)^-1 H2``.  The conflict is
-    decided before any mode-law work, so a rejected fusion stops there.
+    The combined mode ``A1 M1 + A2 M2``, ``A2 = (H1 + H2)^-1 H2`` and
+    ``A1 = I - A2``, has under the height-weighted pair law the mean and
+    covariance (``C = A1 Sigma1 - A2 Sigma2``)
+
+        mu12    = A1 mu1 + A2 mu2 - C G d,
+        Sigma12 = A1 Sigma1 A1^T + A2 Sigma2 A2^T - C G C^T.
+
+    They are the image under ``[A1, A2]`` of the 2p x 2p soft-conditioned
+    pair law, whose construction is kept only as a test reference
+    (``tests/oracles.py``).  The conflict is decided before any mode-law
+    work, so a rejected fusion stops there.
     """
-    (mu, sigma, h), kappa, inter = _fuse(g1, g2, conflict_degree)
-    return GrfvFusion(GRFV(mu, sigma, h), kappa, inter)
+    (mu, sigma, h), kappa = _fuse(g1, g2, conflict_degree)
+    return GrfvFusion(GRFV(mu, sigma, h), kappa)
 
 
 def _fuse(g1: GRFV, g2: GRFV, weigh):
@@ -268,13 +250,13 @@ def _fuse(g1: GRFV, g2: GRFV, weigh):
     :func:`erfs.fuzzy.product` (two GFVs), the vector twin of
     :func:`erfs.grfn._fuse`.
 
-    Returns the combined ``(mu, Sigma, H)``, ``weigh(log(1 - kappa))`` and
-    the intermediates.  ``weigh`` is the caller's conflict policy; it runs
-    before the mode law is formed, so it may reject the pair.
+    Returns the combined ``(mu, Sigma, H)`` (the p x p law of
+    :func:`combine`) and ``weigh(log(1 - kappa))``.  ``weigh`` is the
+    caller's conflict policy; it runs before the mode law is formed, so it
+    may reject the pair.
     """
     if g1.dim != g2.dim:
         raise DomainError(f"dimension mismatch: {g1.dim} vs {g2.dim}")
-    p = g1.dim
     a2, hbar = parallel_sum(g1.H, g2.H)
     s1, s2 = g1.Sigma, g2.Sigma
     # a mode law that overflows is rejected by GRFV, the conflict by _log_height
@@ -285,15 +267,10 @@ def _fuse(g1: GRFV, g2: GRFV, weigh):
         g = np.linalg.solve(m, hbar)
         g = 0.5 * (g + g.T)
         gd = 2.0 * (g @ e)  # d = 2 e may overflow in a coordinate that G ignores
-        a = np.hstack([np.eye(p) - a2, a2])
-        mu_tilde = np.concatenate([g1.mu - s1 @ gd, g2.mu + s2 @ gd])
-        c = np.vstack([s1, -s2])
-        sigma_tilde = -(c @ g @ c.T)
-        sigma_tilde[:p, :p] += s1
-        sigma_tilde[p:, p:] += s2
-        sigma_tilde = 0.5 * (sigma_tilde + sigma_tilde.T)
-
-        mu12 = a @ mu_tilde
-        sigma12 = a @ sigma_tilde @ a.T
+        a1 = np.eye(g1.dim) - a2
+        a1s1, a2s2 = a1 @ s1, a2 @ s2
+        c = a1s1 - a2s2
+        mu12 = a1 @ g1.mu + a2 @ g2.mu - c @ gd
+        sigma12 = a1s1 @ a1.T + a2s2 @ a2.T - (c @ g) @ c.T
         sigma12 = 0.5 * (sigma12 + sigma12.T)
-    return (mu12, sigma12, g1.H + g2.H), weight, GrfvIntermediates(mu_tilde, sigma_tilde, hbar, a)
+    return (mu12, sigma12, g1.H + g2.H), weight

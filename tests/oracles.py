@@ -1,7 +1,9 @@
 """Independent numerical oracles used across the test suite.
 
-Everything here is computed by quadrature or direct integration over the
-alpha-cut representation, never through the closed forms under test.
+Everything here is computed by quadrature, direct integration over the
+alpha-cut representation, higher precision or another construction of the
+same law (the 2p x 2p pair law, the dense K form), never through the
+closed forms under test.
 """
 
 import math
@@ -126,16 +128,36 @@ def grfv_combination_by_dense_k_form(mu1, s1, h1, mu2, s2, h2):
         mu1 @ s1i @ mu1 + mu2 @ s2i @ mu2 - mu_t @ b
     )
     a = inv(h1 + h2) @ np.hstack([h1, h2])
-    return {
-        "kappa": -math.expm1(log1mk),
-        "mu": a @ mu_t,
-        "Sigma": a @ sigma_t @ a.T,
-        "H": h1 + h2,
-        "inter_mu": mu_t,
-        "inter_Sigma": sigma_t,
-        "Hbar": hbar,
-        "A": a,
-    }
+    return {"kappa": -math.expm1(log1mk), "mu": a @ mu_t, "Sigma": a @ sigma_t @ a.T, "H": h1 + h2}
+
+
+def grfv_combination_by_pair_law(mu1, s1, h1, mu2, s2, h2):
+    """Combined mode law ``(mu, Sigma)`` of two GRFVs as the image of the
+    2p x 2p soft-conditioned pair law under the averaging map ``[A1, A2]``.
+
+    The pair law has mean ``[mu1 - S1 G d; mu2 + S2 G d]`` and covariance
+    ``diag(S1, S2) - [S1; -S2] G [S1, -S2]``, with ``A2 = (H1 + H2)^-1 H2``,
+    ``Hbar = H1 A2``, ``G = (I + Hbar (S1 + S2))^-1 Hbar`` and ``d = mu1 - mu2``.
+    It solves only with ``H1 + H2`` and ``I + Hbar S``, so zero or rank-deficient
+    ``Sigma`` and vacuous ``H`` blocks are valid inputs, which the dense K form
+    cannot take.
+    """
+    p = len(mu1)
+    a2 = np.linalg.solve(h1 + h2, h2)
+    hbar = h1 @ a2
+    hbar = 0.5 * (hbar + hbar.T)
+    g = np.linalg.solve(np.eye(p) + hbar @ (s1 + s2), hbar)
+    g = 0.5 * (g + g.T)
+    gd = g @ (mu1 - mu2)
+    a = np.hstack([np.eye(p) - a2, a2])
+    mu_tilde = np.concatenate([mu1 - s1 @ gd, mu2 + s2 @ gd])
+    c = np.vstack([s1, -s2])
+    sigma_tilde = -(c @ g @ c.T)
+    sigma_tilde[:p, :p] += s1
+    sigma_tilde[p:, p:] += s2
+    sigma_tilde = 0.5 * (sigma_tilde + sigma_tilde.T)
+    sigma12 = a @ sigma_tilde @ a.T
+    return a @ mu_tilde, 0.5 * (sigma12 + sigma12.T)
 
 
 def pair_precision_mp(h1, h2, dps=50):

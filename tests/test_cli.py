@@ -640,13 +640,18 @@ def _far_3d(i, kind):
     # h1 h2 overflows: kappa is about 5e-101, then NaN instead of total conflict
     ([_grfn(0, 1e-300, 1e200)] * 2, ["combine"], 0, "step 1: kappa=5e-101\n"),
     ([_grfn(0, 1, 1e308)] * 2, ["combine"], 1, ""),
+    # sigma1^2 sigma2^2, sigma^2 (1 + hbar sigma^2) and sigma1^2 + sigma2^2 overflow
+    ([_grfn(0, 1e160, 1e-160)] * 2, ["combine"], 0, "step 1: kappa=0.292893218813\n"),
+    ([_grfn(0, 8e307, 1e-300)] * 2, ["combine"], 0, "step 1: kappa=0.999888196602\n"),
+    ([_grfn(0, 1e308, 1e-300)] * 2, ["combine"], 0, "step 1: kappa=0.999900000001\n"),
     # h sigma2 and the offset both overflow
     ([_grfn(0, 1e300, 1e10), _grfn(1e200, 1e300, 1e10)], ["combine"], 1, ""),
     # -0.5 h underflows to -0.0 against an offset of inf
     ([_grfn(-1.7e308, 1, 5e-324)], ["eval", "--at", "1e308"], 0, "1e308,0\n"),
     *[([_far_3d(0, a), _far_3d(1, b)], [cmd], 2, "")
       for cmd in ("combine", "conflict") for a, b in (("grfv",) * 2, ("gfv",) * 2, ("grfv", "gfv"))],
-], ids=["tiny-h", "huge-gfn", "pair-precision", "pair-precision-nan", "offset-and-h-sigma2",
+], ids=["tiny-h", "huge-gfn", "pair-precision", "pair-precision-nan", "variance-product",
+        "variance-times-precision", "variance-sum", "offset-and-h-sigma2",
         "subnormal-h", *[f"{cmd}-3d-{kinds}" for cmd in ("combine", "conflict")
                          for kinds in ("grfv", "gfv", "mixed")]])
 def test_extreme_magnitudes_answer_or_fail_typed(docs, argv, code, stdout, tmp_path, capsys):

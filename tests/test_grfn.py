@@ -377,7 +377,19 @@ class TestExtremePrecisions:
         # h1 h2 overflows; kappa is about 5e-101
         (GRFN(0.0, 1e-300, 1e200), GRFN(0.0, 1e-300, 1e200)),
         (GRFN(-1.0, 2.0, 1e308), GRFN(3.0, 0.5, 1e-300)),
-    ], ids=["tiny", "gfn-huge", "product-overflows", "far-apart"])
+        # sigma1^2 sigma2^2 overflows; kappa is 1 - 1/sqrt(2)
+        (GRFN(0.0, 1e160, 1e-160), GRFN(0.0, 1e160, 1e-160)),
+        # sigma^2 (1 + hbar sigma^2) overflows
+        (GRFN(0.0, 8e307, 1e-300), GRFN(0.0, 8e307, 1e-300)),
+        # sigma1^2 + sigma2^2 overflows; log(1 - kappa) is -9.21, not -inf
+        (GRFN(0.0, 1e308, 1e-300), GRFN(0.0, 1e308, 1e-300)),
+        # mu (1 + hbar sigma^2) overflows
+        (GRFN(1e300, 1e10, 1e10), GRFN(1e300, 1e10, 1e10)),
+        # sigma1^2 sigma2^2 underflows: the pair correlation was 0, not 0.52
+        (GRFN(1e-160, 1e-170, 2e170), GRFN(1.2e-160, 3e-170, 1e170)),
+    ], ids=["tiny", "gfn-huge", "product-overflows", "far-apart", "variance-product",
+            "variance-times-precision", "variance-sum", "mode-times-precision",
+            "variance-product-underflows"])
     def test_fusion_matches_the_kalman_update(self, g1, g2):
         f = combine(g1, g2)
         mu, sigma2, h, log1mk = (float(v) for v in grfn_fusion_by_kalman_update(g1, g2))
@@ -495,12 +507,6 @@ class TestJson:
         d = g.to_dict()
         assert d["h"] == "inf"
         assert GRFN.from_dict(d) == g
-
-    def test_fusion_serialization(self):
-        f = combine(GRFN(0.0, 1.0, 1.0), GRFN(0.5, 0.5, 2.0))
-        d = f.to_dict()
-        assert set(d) == {"combined", "kappa", "intermediates"}
-        assert set(d["intermediates"]) == {"mu1", "mu2", "var1", "var2", "rho", "hbar"}
 
     def test_errors_name_fields(self):
         with pytest.raises(DomainError, match="sigma2"):

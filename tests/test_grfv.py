@@ -1,6 +1,7 @@
 """Tests for Gaussian random fuzzy vectors."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,19 @@ from erfs.fuzzy import GFV, product
 from erfs.grfn import GRFN, log_one_minus_kappa
 from erfs.grfn import combine as combine_1d
 from erfs.grfv import GRFV, combine
-from oracles import grfv_combination_by_dense_k_form, random_grfn_params, random_spd
+from oracles import (grfv_combination_by_dense_k_form, grfv_combination_by_pair_law,
+                     random_grfn_params, random_spd)
+
+
+def _accepted_pair(rng, p):
+    """Two PD sources whose fusion stays above the conflict cutoff: beyond
+    p = 50 the mode variances shrink, as the conflict grows with p."""
+    mu1 = rng.normal(size=p)
+    mu2 = mu1 + 0.3 * rng.normal(size=p) / math.sqrt(p)
+    c = min(1.0, 50.0 / p)
+    s1, s2 = random_spd(rng, p, c / p), random_spd(rng, p, 2.0 * c / p)
+    h1, h2 = random_spd(rng, p, 1.0 / p), random_spd(rng, p, 0.5 / p)
+    return mu1, s1, h1, mu2, s2, h2
 
 
 class TestConstruction:
@@ -250,7 +263,6 @@ class TestCombine:
             g2 = GRFV(rng.normal(size=3), random_spd(rng, 3), random_spd(rng, 3))
             f = combine(g1, g2)
             assert np.all(np.linalg.eigvalsh(f.combined.Sigma) > 0.0)
-            assert np.all(np.linalg.eigvalsh(f.intermediates.Sigma) > 0.0)
             assert 0.0 <= f.kappa <= 1.0
 
     def test_total_conflict_raises(self):
@@ -339,22 +351,15 @@ class TestCombine:
         with pytest.raises(DomainError):
             combine(GRFV([0.0], [[1.0]], [[1.0]]), GRFV([0.0, 0.0], np.eye(2), np.eye(2)))
 
-    @pytest.mark.parametrize("p", [1, 2, 3, 10, 50])
+    @pytest.mark.parametrize("p", [1, 2, 3, 10, 50, 200])
     def test_matches_the_dense_k_form(self, p):
         rng = np.random.default_rng(100 + p)
         for _ in range(5):
-            mu1 = rng.normal(size=p)
-            mu2 = mu1 + 0.3 * rng.normal(size=p) / math.sqrt(p)
-            s1, s2 = random_spd(rng, p, 1.0 / p), random_spd(rng, p, 2.0 / p)
-            h1, h2 = random_spd(rng, p, 1.0 / p), random_spd(rng, p, 0.5 / p)
+            mu1, s1, h1, mu2, s2, h2 = _accepted_pair(rng, p)
             f = combine(GRFV(mu1, s1, h1), GRFV(mu2, s2, h2))
             want = grfv_combination_by_dense_k_form(mu1, s1, h1, mu2, s2, h2)
-            got = {
-                "kappa": f.kappa, "mu": f.combined.mu, "Sigma": f.combined.Sigma,
-                "H": f.combined.H, "inter_mu": f.intermediates.mu,
-                "inter_Sigma": f.intermediates.Sigma, "Hbar": f.intermediates.Hbar,
-                "A": f.intermediates.A,
-            }
+            got = {"kappa": f.kappa, "mu": f.combined.mu, "Sigma": f.combined.Sigma,
+                   "H": f.combined.H}
             assert 0.0 < f.kappa < 1.0
             for name, value in want.items():
                 assert_allclose(got[name], value, rtol=0,
@@ -368,7 +373,6 @@ class TestCombine:
             for f in (combine(g, vac), combine(vac, g)):
                 assert f.kappa == 0.0
                 np.testing.assert_array_equal(f.combined.H, g.H)
-                np.testing.assert_array_equal(f.intermediates.Hbar, np.zeros((p, p)))
                 assert_allclose(f.combined.mu, g.mu, rtol=1e-12, atol=1e-14)
                 assert_allclose(f.combined.Sigma, g.Sigma, rtol=1e-12, atol=1e-14)
 
@@ -388,13 +392,47 @@ class TestCombine:
         assert_allclose(f.combined.Sigma, np.diag([0.5, 1.0]), atol=1e-15)
         assert_allclose(f.combined.H, np.diag([2.0, 1.0]), atol=1e-15)
 
-    def test_intermediate_shapes(self):
-        g = GRFV([0.0, 1.0], np.eye(2), np.eye(2))
-        f = combine(g, g)
-        assert f.intermediates.mu.shape == (4,)
-        assert f.intermediates.Sigma.shape == (4, 4)
-        assert f.intermediates.Hbar.shape == (2, 2)
-        assert f.intermediates.A.shape == (2, 4)
+    @pytest.mark.parametrize("p", [1, 2, 3, 10, 50, 200])
+    def test_matches_the_pair_law_on_semidefinite_inputs(self, p):
+        # the dense K form inverts Sigma; the 2p x 2p pair law takes any PSD pair
+        rng = np.random.default_rng(300 + p)
+        mu1, s1, h1, mu2, s2, h2 = _accepted_pair(rng, p)
+        v1, v2 = rng.normal(size=(2, p)) / p
+        zero = np.zeros((p, p))
+        k = max(p // 2, 1)
+        half = GRFV(mu1[:k], s1[:k, :k], h1[:k, :k]).vacuous_extend(p - k)
+        pairs = [
+            (GRFV(mu1, zero, h1), GRFV(mu2, s2, h2)),
+            (GRFV(mu1, s1, h1), GRFV(mu2, np.outer(v2, v2), h2)),
+            (GRFV(mu1, np.outer(v1, v1), h1), GRFV(mu2, np.outer(v2, v2), h2)),
+            (GRFV(mu1, zero, h1), GRFV(mu2, zero, h2)),
+            (half, GRFV(mu2, s2, h2)),
+            (GRFV(mu2, s2, h2), half),
+        ]
+        for g1, g2 in pairs:
+            mu, sigma = grfv_combination_by_pair_law(g1.mu, g1.Sigma, g1.H, g2.mu, g2.Sigma, g2.H)
+            f = combine(g1, g2)
+            assert 0.0 <= f.kappa < 1.0
+            assert_allclose(f.combined.mu, mu, rtol=0, atol=1e-12 * np.max(np.abs(mu)))
+            assert_allclose(f.combined.Sigma, sigma, rtol=0,
+                            atol=1e-12 * max(np.max(np.abs(sigma)), 1e-300))
+        r = product(GFV(mu1, h1), GFV(mu2, h2))
+        mu, _ = grfv_combination_by_pair_law(mu1, zero, h1, mu2, zero, h2)
+        assert_allclose(r.product.mode, mu, rtol=0, atol=1e-12 * np.max(np.abs(mu)))
+
+    def test_accepted_fusion_forms_no_pair_law(self):
+        # the 2p x 2p pair law alone is 4 p^2 doubles; combine stays near 11 p^2
+        p = 200
+        mu1, s1, h1, mu2, s2, h2 = _accepted_pair(np.random.default_rng(300 + p), p)
+        g1, g2 = GRFV(mu1, s1, h1), GRFV(mu2, s2, h2)
+        combine(g1, g2)
+        tracemalloc.start()
+        try:
+            combine(g1, g2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 13 * p * p * 8
 
 
 class TestMarginalizeExtend:

@@ -8,6 +8,7 @@ through other tests.
 """
 
 import ast
+import importlib
 import json
 import math
 import os
@@ -111,6 +112,13 @@ def test_lazy_names_resolve_and_are_listed():
     assert out["resolved"] and out["missing_dir"] == []
     assert out["grfv"] and out["mc"] and out["gfv"]
     assert abs(out["height"] - math.exp(-0.25)) < 1e-15
+
+
+@pytest.mark.parametrize("module", ("grfn", "grfv", "fuzzy", "randomset", "inference"))
+def test_submodule_exports_resolve(module):
+    # a name removed from a module must leave its __all__ too
+    mod = importlib.import_module(f"erfs.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 def test_grid_query_loads_scipy_special_only():
