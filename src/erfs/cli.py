@@ -4,13 +4,13 @@ Evidence documents are JSON objects whose ``type`` (``gfn``, ``gfv``,
 ``grfn``, ``grfv``, ``triangular-gaussian``) names the model that parses
 the remaining fields.  Documents are read from files or stdin (``-``);
 results go to stdout as JSON for point queries and as plain CSV ('.'
-decimal, no locale) for grids.  Each query calls one model method
-(``contour``, ``cdf_bounds``, ``expectation_bounds``).  A GFN is the GRFN
-with zero mode variance, ``GRFN(mode, 0, precision)``, so ``cdf``,
-``expect`` and ``plotdata`` answer it by the GRFN closed forms and
-``combine`` fuses it with a GRFN by :func:`erfs.grfn.combine`; two GFNs
-combine by their product intersection, and ``belpl`` of a GFN reports
-possibility and necessity.
+decimal, no locale) for grids.  A document answers a query if and only
+if its model has the method the query names (``contour``, ``cdf_bounds``,
+``expectation_bounds``, ``bel_pl``); otherwise the call exits 2.  Two
+documents fuse by their common type, the one the other subclasses: two
+GFNs or two GFVs by their product, a GRFN or GRFV pair (a GFN is
+``GRFN(mode, 0, precision)``, a GFV ``GRFV(mode, 0, precision)``) by its
+module's ``combine``.
 
 Grids are written ``start:stop:step``; the stop value is included when it
 falls on the grid (within half a step).  Grid parts and ``--at`` values
@@ -37,9 +37,8 @@ import math
 import os
 import sys
 
-from . import fuzzy, grfn
+from . import fuzzy
 from .errors import ContradictoryEvidence, ErfsError
-from .grfn import GFN, GRFN, TriangularGaussian
 from .interval import Interval
 
 # document ``type`` -> (erfs module, model); each model has ``from_dict`` and
@@ -172,9 +171,9 @@ def _print_csv(header: str, *columns) -> None:
 
 def _cmd_eval(args) -> int:
     doc = _resolve_document(args)
-    vector = _kind(doc) in ("gfv", "grfv")
+    dim = getattr(doc, "dim", None)  # a vector document's points are x1,x2,...
     for x in _points(args):
-        v = doc.contour(_vector(x, doc.dim) if vector else _finite(x))
+        v = doc.contour(_finite(x) if dim is None else _vector(x, dim))
         label = x if isinstance(x, str) else f"{float(x):.12g}"
         print(f"{label},{v:.12g}")
     return 0
@@ -209,31 +208,27 @@ def _vector(text, dim: int):
     return v
 
 
-def _closed_form(doc, what: str):
-    """The document as a model with ``cdf_bounds`` and ``expectation_bounds``."""
-    if not isinstance(doc, (GRFN, TriangularGaussian)):
-        raise ErfsError(f"no closed-form {what} for type '{type(doc).__name__}'")
-    return doc
+def _query(doc, method: str):
+    """The document's bound ``method``: the query the subcommand names."""
+    fn = getattr(doc, method, None)
+    if fn is None:
+        raise ErfsError(f"a '{_kind(doc)}' document has no closed-form {method}")
+    return fn
 
 
 def _combine_pair(a, b):
-    """Combine two documents; returns (combined document, kappa)."""
-    kinds = {_kind(a), _kind(b)}
-    if kinds in ({"gfn"}, {"gfv"}):
-        r = fuzzy.product(a, b)
-        return r.product, 1.0 - r.height
-    if kinds <= {"gfn", "grfn"}:  # a GFN is the GRFN with sigma2 = 0
-        f = grfn.combine(a, b)
-    elif kinds <= {"gfv", "grfv"}:  # a GFV is the GRFV with Sigma = 0
-        from . import grfv
-
-        f = grfv.combine(a, b)
-    else:
-        raise ErfsError(
-            f"cannot combine documents of types "
-            f"'{type(a).__name__}' and '{type(b).__name__}'"
-        )
-    return f.combined, f.kappa
+    """Fuse two documents by their common type; returns (combined document, kappa)."""
+    ta, tb = type(a), type(b)
+    common = tb if issubclass(ta, tb) else ta
+    # the model named like its module fuses by the module's combine, its subclass by the product
+    base = _model(_TYPES[_KINDS[common.__name__]][0])
+    if not (issubclass(tb, common) and issubclass(common, base)):
+        raise ErfsError(f"cannot combine documents of types '{ta.__name__}' and '{tb.__name__}'")
+    if common is base:
+        f = sys.modules[base.__module__].combine(a, b)
+        return f.combined, f.kappa
+    r = fuzzy.product(a, b)
+    return r.product, 1.0 - r.height
 
 
 def _cmd_combine(args) -> int:
@@ -249,45 +244,34 @@ def _cmd_combine(args) -> int:
 
 
 def _cmd_belpl(args) -> int:
-    doc = _resolve_document(args)
-    b = Interval(args.lo, args.hi)
-    if isinstance(doc, GFN):
-        pl, bel = fuzzy.possibility_necessity(doc, b)
-    elif isinstance(doc, GRFN):
-        bel, pl = doc.bel_pl(b)
-    else:
-        raise ErfsError(
-            f"no closed-form interval query for type '{type(doc).__name__}'; "
-            "vector set queries are Monte-Carlo only"
-        )
+    doc, b = _resolve_document(args), Interval(args.lo, args.hi)
+    bel, pl = _query(doc, "bel_pl")(b)
     _print_json({"bel": bel, "pl": pl})
     return 0
 
 
 def _cmd_cdf(args) -> int:
-    doc = _closed_form(_resolve_document(args), "cdf")
+    cdf_bounds = _query(_resolve_document(args), "cdf_bounds")
     if args.grid is not None:
         xs = parse_grid(args.grid)
-        _print_csv("x,lower,upper", xs, *doc.cdf_bounds(xs))
+        _print_csv("x,lower,upper", xs, *cdf_bounds(xs))
+    elif args.at is None:
+        raise ErfsError("missing query point: use --at or --grid")
     else:
-        if args.at is None:
-            raise ErfsError("missing query point: use --at or --grid")
         y = _finite(args.at)
-        lower, upper = doc.cdf_bounds(y)
+        lower, upper = cdf_bounds(y)
         _print_json({"y": y, "lower": lower, "upper": upper})
     return 0
 
 
 def _cmd_expect(args) -> int:
-    lo, hi = _closed_form(_resolve_document(args), "expectations").expectation_bounds()
+    lo, hi = _query(_resolve_document(args), "expectation_bounds")()
     _print_json({"lower": lo, "upper": hi})
     return 0
 
 
 def _cmd_conflict(args) -> int:
-    a = load_document(args.doc1)
-    b = load_document(args.doc2)
-    _, kappa = _combine_pair(a, b)
+    _, kappa = _combine_pair(load_document(args.doc1), load_document(args.doc2))
     _print_json({"kappa": kappa})
     return 0
 
@@ -311,17 +295,11 @@ def _cmd_mc_check(args) -> int:
 
 
 def _cmd_plotdata(args) -> int:
-    if args.example3:
-        if args.mu is None or args.sigma is None or args.a is None:
-            raise ErfsError("--example3 requires --mu, --sigma and --a")
-        doc = TriangularGaussian(args.mu, args.sigma, args.a)
-    else:
-        doc = _resolve_document(args)
+    doc = _resolve_document(args)
     if args.grid is None:
         raise ErfsError("missing --grid for plotdata")
     xs = parse_grid(args.grid)
-    lower, upper = _closed_form(doc, "cdf").cdf_bounds(xs)
-    _print_csv("x,lower,upper,contour", xs, lower, upper, doc.contour(xs))
+    _print_csv("x,lower,upper,contour", xs, *_query(doc, "cdf_bounds")(xs), doc.contour(xs))
     return 0
 
 
@@ -391,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plotdata", help="CSV curve data over a grid")
     _add_document_args(p)
-    p.add_argument("--example3", action="store_true",
-                   help="triangular-with-Gaussian-mode closed forms")
+    p.add_argument("--example3", dest="type", action="store_const", const="triangular-gaussian",
+                   help="triangular-with-Gaussian-mode closed forms (--type triangular-gaussian)")
     p.add_argument("--grid", help="grid start:stop:step")
     p.set_defaults(fn=_cmd_plotdata)
 

@@ -16,8 +16,12 @@ its height.  :func:`product` is the combination of the two ``sigma2 = 0``
 the module's one Gaussian height, also its contour's, formed in log-space,
 so widely separated modes give tiny-but-exact heights.
 
-GFN queries run on ``math`` alone; :mod:`erfs.grfv` is imported only when
-a ``GFV`` is asked for.
+A model answers a query through its own method of that name, the
+protocol the CLI dispatches by: a GFN's belief and plausibility are its
+necessity and possibility, ``GFN.bel_pl``, rays included, and
+:func:`possibility_necessity` is the ``(possibility, necessity)`` view of
+it.  GFN queries run on ``math`` alone; :mod:`erfs.grfv` is imported only
+when a ``GFV`` is asked for.
 """
 
 from __future__ import annotations
@@ -75,21 +79,9 @@ def linear_combination(terms) -> GFN:
 
 
 def possibility_necessity(g: GFN, b: Interval) -> tuple[float, float]:
-    """Degrees of possibility and necessity of ``theta in b`` under ``g``."""
-    m = g.mode
-    if g.is_crisp:
-        # sup over the open complement of a point indicator excludes b's boundary
-        return (float(b.contains(m)),) * 2
-
-    def poss(s: Interval) -> float:
-        # the membership falls away from the mode: its sup over s is 1 when s
-        # holds the mode, else its value at the nearer endpoint (0 at infinity)
-        if s.contains(m):
-            return 1.0
-        x = s.lo if m < s.lo else s.hi
-        return float(g.membership(x)) if math.isfinite(x) else 0.0
-
-    return poss(b), 1.0 - max((poss(r) for r in b.complement_rays()), default=0.0)
+    """Degrees of possibility and necessity of ``theta in b``: ``g.bel_pl(b)`` reversed."""
+    necessity, possibility = g.bel_pl(b)
+    return possibility, necessity
 
 
 def __getattr__(name: str):

@@ -155,14 +155,14 @@ class GRFN:
         w = self.h * v0
         s0 = math.sqrt(v0)
         mid = 0.5 * x + 0.5 * y
-
-        def inner(t, anchor):
-            # Phi((t - m0(anchor)) / s0), the unit step when s0 = 0
-            return phi_over(t - (self.mu + (anchor - self.mu) * w), s0)
+        # m0 at the anchors x and y; w = 0 shifts nothing, even where the
+        # offset overflows (inf * 0); Phi((t - m0) / s0) is the unit step at s0 = 0
+        mx, my = (self.mu + (t - self.mu) * w if w else self.mu for t in (x, y))
+        ix, iy = phi_over(x - mx, s0), phi_over(y - my, s0)
 
         band = phi_over(y - self.mu, sigma) - phi_over(x - self.mu, sigma)
-        bel = band - plx * (inner(mid, x) - inner(x, x)) - ply * (inner(y, y) - inner(mid, y))
-        pl = band + plx * inner(x, x) + ply * (1.0 - inner(y, y))
+        bel = band - plx * (phi_over(mid - mx, s0) - ix) - ply * (iy - phi_over(mid - my, s0))
+        pl = band + plx * ix + ply * (1.0 - iy)
         pl = min(max(pl, 0.0), 1.0)
         bel = min(max(bel, 0.0), pl)
         return bel, pl
@@ -198,7 +198,8 @@ class GRFN:
             raise DomainError("expectations of a vacuous number are unbounded")
         if math.isinf(self.h):
             return self.mu, self.mu
-        r = math.sqrt(math.pi / (2.0 * self.h))
+        q = math.pi / (2.0 * self.h)  # inf at a subnormal h, 0 above h = 2^1023
+        r = math.sqrt(q) if 0.0 < q < math.inf else math.sqrt(0.5 * math.pi) / math.sqrt(self.h)
         return self.mu - r, self.mu + r
 
     def to_dict(self) -> dict:
@@ -233,6 +234,24 @@ class GFN(GRFN):
     @property
     def is_crisp(self) -> bool:
         return math.isinf(self.h)
+
+    def bel_pl(self, b: Interval) -> tuple[float, float]:
+        """Necessity and possibility of ``b``, rays included: the belief and plausibility
+        of a number whose mode does not vary (:meth:`GRFN.bel_pl` at ``sigma2 = 0``)."""
+        m = self.mu
+        if math.isinf(self.h):
+            # sup over the open complement of a point indicator excludes b's boundary
+            return (float(b.contains(m)),) * 2
+
+        def poss(s: Interval) -> float:
+            # the membership falls away from the mode: its sup over s is 1 when s
+            # holds the mode, else its value at the nearer endpoint (0 at infinity)
+            if s.contains(m):
+                return 1.0
+            x = s.lo if m < s.lo else s.hi
+            return self.contour(x) if math.isfinite(x) else 0.0
+
+        return 1.0 - max((poss(r) for r in b.complement_rays()), default=0.0), poss(b)
 
     def alpha_cut(self, alpha: float) -> Interval:
         """The closed set of points with membership at least ``alpha``.
@@ -540,8 +559,15 @@ def _fuse(g1: GRFN, g2: GRFN, weigh):
     w1, w2 = _share(h1, h2), _share(h2, h1)
     mu12 = w1 * inter.mu1 + w2 * inter.mu2
     sd1, sd2 = math.sqrt(inter.var1), math.sqrt(inter.var2)
-    var12 = w1 * w1 * inter.var1 + w2 * w2 * inter.var2 + 2.0 * inter.rho * w1 * w2 * sd1 * sd2
+    var12 = _square_times(w1, inter.var1) + _square_times(w2, inter.var2) \
+        + 2.0 * inter.rho * w1 * w2 * sd1 * sd2
     return (mu12, var12, h1 + h2), weight, inter
+
+
+def _square_times(w: float, v: float) -> float:
+    """``w^2 v`` for a weight ``0 <= w <= 1``; ``w (w v)`` where ``w^2`` is subnormal."""
+    ww = w * w
+    return ww * v if ww >= _NORMAL_MIN else w * (w * v)
 
 
 def combine_many(gs) -> GRFN:

@@ -201,6 +201,21 @@ class TestPlotdata:
         rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         assert rows[2, 3] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
 
+    @pytest.mark.parametrize("params", [["--mu", "0", "--sigma", "1", "--a", "1.5", "--grid", "-4:4:0.5"],
+                                        ["--mu", "1e308", "--sigma", "1", "--a", "1",
+                                         "--grid", "-1.7e308:-1.6e308:5e307"],
+                                        ["--mu", "0", "--sigma", "1", "--grid", "0:1:0.5"]],
+                             ids=["example", "far", "missing-a"])
+    def test_example3_is_the_triangular_document(self, params, capsys):
+        typed = _run(["plotdata", "--type", "triangular-gaussian", *params], capsys)
+        assert _run(["plotdata", "--example3", *params], capsys) == typed
+
+    def test_example3_refuses_a_document_file(self, tmp_path, capsys):
+        doc = write_doc(tmp_path, "g.json", {"type": "grfn", "mu": 0.0, "sigma2": 1.0, "h": 1.0})
+        code, out, err = _run(["plotdata", "--example3", "--mu", "0", "--sigma", "1", "--a", "1",
+                               "--grid", "0:1:0.5", doc], capsys)
+        assert (code, out) == (2, "") and "not both" in err
+
     def test_decimal_point_no_locale(self, capsys):
         main(["plotdata", "--example3", "--mu", "0", "--sigma", "1",
               "--a", "0.5", "--grid", "0:1:0.5"])
@@ -648,11 +663,18 @@ def _far_3d(i, kind):
     ([_grfn(0, 1e300, 1e10), _grfn(1e200, 1e300, 1e10)], ["combine"], 1, ""),
     # -0.5 h underflows to -0.0 against an offset of inf
     ([_grfn(-1.7e308, 1, 5e-324)], ["eval", "--at", "1e308"], 0, "1e308,0\n"),
+    # the offset of an endpoint overflows against a shrinkage weight of 0: inf * 0
+    ([_grfn(1.7e308, 5e-324, 5e-324)], ["belpl", "--lo=-1e308", "--hi", "1e308"], 0,
+     '{"bel": 0.0, "pl": 0.0}\n'),
+    # pi / (2h) overflows
+    ([{"type": "gfn", "mode": 0, "precision": 5e-324}], ["expect"], 0,
+     '{"lower": -5.638552261264709e+161, "upper": 5.638552261264709e+161}\n'),
     *[([_far_3d(0, a), _far_3d(1, b)], [cmd], 2, "")
       for cmd in ("combine", "conflict") for a, b in (("grfv",) * 2, ("gfv",) * 2, ("grfv", "gfv"))],
 ], ids=["tiny-h", "huge-gfn", "pair-precision", "pair-precision-nan", "variance-product",
         "variance-times-precision", "variance-sum", "offset-and-h-sigma2",
-        "subnormal-h", *[f"{cmd}-3d-{kinds}" for cmd in ("combine", "conflict")
+        "subnormal-h", "belpl-offset-times-zero-weight", "expect-subnormal-h",
+        *[f"{cmd}-3d-{kinds}" for cmd in ("combine", "conflict")
                          for kinds in ("grfv", "gfv", "mixed")]])
 def test_extreme_magnitudes_answer_or_fail_typed(docs, argv, code, stdout, tmp_path, capsys):
     paths = [write_doc(tmp_path, f"{i}.json", doc) for i, doc in enumerate(docs)]

@@ -387,9 +387,11 @@ class TestExtremePrecisions:
         (GRFN(1e300, 1e10, 1e10), GRFN(1e300, 1e10, 1e10)),
         # sigma1^2 sigma2^2 underflows: the pair correlation was 0, not 0.52
         (GRFN(1e-160, 1e-170, 2e170), GRFN(1.2e-160, 3e-170, 1e170)),
+        # the squared weight w2^2 = 1e-340 underflows: sigma2 was 1e-300, not 1e-180
+        (GRFN(0.0, 1e-300, 1e10), GRFN(0.0, 1e170, 1e-160)),
     ], ids=["tiny", "gfn-huge", "product-overflows", "far-apart", "variance-product",
             "variance-times-precision", "variance-sum", "mode-times-precision",
-            "variance-product-underflows"])
+            "variance-product-underflows", "weight-square-underflows"])
     def test_fusion_matches_the_kalman_update(self, g1, g2):
         f = combine(g1, g2)
         mu, sigma2, h, log1mk = (float(v) for v in grfn_fusion_by_kalman_update(g1, g2))

@@ -187,6 +187,37 @@ def test_model_modules_never_import_fuzzy(module):
     assert _dependencies(_parse(module), _from_fuzzy) == []
 
 
+MODEL_CLASSES = ("GFN", "GFV", "GRFN", "GRFV", "TriangularGaussian")
+
+
+def _named(tree: ast.AST, names) -> list[str]:
+    """Identifiers, attributes and imported names in ``names``, at any depth."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.rsplit(".", 1)[-1]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}"] if name in names else []
+    return found
+
+
+def test_cli_names_no_model_class():
+    # the CLI asks a document for the method its query names; it never tests the model type
+    assert _named(_parse("cli.py"), MODEL_CLASSES) == []
+
+
+def test_model_name_scan_sees_every_spelling():
+    tree = ast.parse("from .grfn import GFN as G\nimport x.GRFV\nisinstance(d, grfn.GRFN)\n"
+                     "TriangularGaussian(0, 1, 1)\nGRFNX = 'GFV'\n")
+    assert [s.split(": ")[1] for s in _named(tree, MODEL_CLASSES)] == [
+        "GFN", "GRFV", "GRFN", "TriangularGaussian"]
+
+
 def test_array_dependency_scan_sees_nested_uses():
     tree = ast.parse("def f():\n    import numpy.linalg\n    from ._linalg import check_psd\n"
                      "    from . import _linalg\n    from scipy import special\n"
