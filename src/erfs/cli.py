@@ -21,8 +21,8 @@ Imports follow the query.  A GFN, GRFN or triangular document answered
 without an array (``cdf --at``, ``belpl``, ``combine``, ``conflict``,
 ``expect``, ``eval``) runs on ``math`` alone and loads no numpy.  numpy is
 loaded by the array queries (``cdf --grid``, ``plotdata``), by vector
-documents (``gfv``, ``grfv``) and by ``mc-check``; scipy only by the array
-queries, for the normal cdf.
+documents (``gfv``, ``grfv``) and by ``mc-check``.  No call loads scipy:
+the normal cdf is ``math.erfc``, on an array too.
 
 Exit codes: 0 success, 1 fully conflicting evidence, 2 argument or
 validation errors, 3 Monte-Carlo cross-check failure.

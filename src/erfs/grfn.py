@@ -30,8 +30,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ._normal import (Phi, as_output, as_points, at_least, constant, exp, log_indicator, maximum,
-                      minimum, phi, phi_over, quiet_on_arrays, where_nan)
+from ._normal import (Phi, as_output, at_least, constant, elementwise, exp, log_indicator, maximum,
+                      minimum, phi, phi_over, where_nan)
 from .errors import ContradictoryEvidence, DomainError
 from .interval import Interval
 
@@ -103,7 +103,7 @@ class GRFN:
     def is_vacuous(self) -> bool:
         return self.h == 0.0
 
-    @quiet_on_arrays
+    @elementwise
     def contour(self, x):
         """Pointwise plausibility ``pl(x)``: the height against the point ``x``.
 
@@ -112,8 +112,8 @@ class GRFN:
         variable (except the degenerate point mass, whose contour is the
         indicator of its atom).
         """
-        x = as_points(x)
-        return as_output(exp(_log_height(self.h, self.sigma2, x - self.mu)))
+        v = _log_height(self.h, self.sigma2, x - self.mu)
+        return math.exp(v) if isinstance(x, float) else as_output(exp(v))
 
     def bel_pl(self, b: Interval) -> tuple[float, float]:
         """Degrees of belief and plausibility of a bounded interval.
@@ -157,7 +157,8 @@ class GRFN:
         mid = 0.5 * x + 0.5 * y
         # m0 at the anchors x and y; w = 0 shifts nothing, even where the
         # offset overflows (inf * 0); Phi((t - m0) / s0) is the unit step at s0 = 0
-        mx, my = (self.mu + (t - self.mu) * w if w else self.mu for t in (x, y))
+        mx = self.mu + (x - self.mu) * w if w else self.mu
+        my = self.mu + (y - self.mu) * w if w else self.mu
         ix, iy = phi_over(x - mx, s0), phi_over(y - my, s0)
 
         band = phi_over(y - self.mu, sigma) - phi_over(x - self.mu, sigma)
@@ -167,10 +168,9 @@ class GRFN:
         bel = min(max(bel, 0.0), pl)
         return bel, pl
 
-    @quiet_on_arrays
+    @elementwise
     def cdf_bounds(self, y):
         """Lower and upper cdf at ``y`` (elementwise): Bel and Pl of ``(-inf, y]``."""
-        y = as_points(y)
         if self.h == 0.0:
             lower, upper = constant(y, 0.0), constant(y, 1.0)
         elif math.isinf(self.h) and self.sigma2 == 0.0:
@@ -231,10 +231,6 @@ class GFN(GRFN):
     precision = property(lambda self: self.h)
     membership = GRFN.contour
 
-    @property
-    def is_crisp(self) -> bool:
-        return math.isinf(self.h)
-
     def bel_pl(self, b: Interval) -> tuple[float, float]:
         """Necessity and possibility of ``b``, rays included: the belief and plausibility
         of a number whose mode does not vary (:meth:`GRFN.bel_pl` at ``sigma2 = 0``)."""
@@ -243,15 +239,17 @@ class GFN(GRFN):
             # sup over the open complement of a point indicator excludes b's boundary
             return (float(b.contains(m)),) * 2
 
-        def poss(s: Interval) -> float:
-            # the membership falls away from the mode: its sup over s is 1 when s
-            # holds the mode, else its value at the nearer endpoint (0 at infinity)
-            if s.contains(m):
-                return 1.0
-            x = s.lo if m < s.lo else s.hi
+        def at(x: float) -> float:
+            # the membership falls away from the mode: its sup over a set that misses
+            # the mode is its value at the nearer endpoint (0 at infinity)
             return self.contour(x) if math.isfinite(x) else 0.0
 
-        return 1.0 - max((poss(r) for r in b.complement_rays()), default=0.0), poss(b)
+        lo, hi = b.lo, b.hi
+        if lo <= m <= hi:
+            # the complement's rays (-inf, lo] and [hi, inf) hold the mode at most at an end
+            return 1.0 - max(at(lo), at(hi)), 1.0
+        # the ray of the complement on the mode's side holds it: necessity 0
+        return 0.0, at(lo if m < lo else hi)
 
     def alpha_cut(self, alpha: float) -> Interval:
         """The closed set of points with membership at least ``alpha``.
@@ -317,10 +315,9 @@ class TriangularGaussian:
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "a", a)
 
-    @quiet_on_arrays
+    @elementwise
     def contour(self, x):
         """Pointwise plausibility: the mean realized membership at ``x``."""
-        x = as_points(x)
         mu, sigma, a = self.mu, self.sigma, self.a
         if a == 0.0:
             return as_output(constant(x, 0.0))
@@ -333,25 +330,27 @@ class TriangularGaussian:
         # NaN only from an overflowing x - mu (inf * 0): the limit there is 0
         return as_output(minimum(maximum(where_nan((left + right) / a, 0.0), 0.0), 1.0))
 
-    @quiet_on_arrays
+    @elementwise
     def cdf_bounds(self, y):
         """Lower and upper cdf at ``y`` (elementwise): Bel and Pl of ``(-inf, y]``."""
-        x = as_points(y)
         mu, sigma, a = self.mu, self.sigma, self.a
-        d = x - mu
+        d = y - mu
         z0 = d / sigma
         p0 = Phi(z0)
         if a == 0.0:
             return (as_output(p0),) * 2
         z_plus = (d + a) / sigma
         z_minus = (d - a) / sigma
-        upper = ((d + a) / a) * Phi(z_plus) - (d / a) * p0 + (sigma / a) * (phi(z_plus) - phi(z0))
-        lower = (d / a) * p0 - ((d - a) / a) * Phi(z_minus) + (sigma / a) * (phi(z0) - phi(z_minus))
-        # NaN only where x - mu -+ a, or its ratio to a or sigma, overflows
-        # (inf * 0, inf - inf); both bounds then round to their limit Phi(z0)
-        return tuple(
-            as_output(minimum(maximum(where_nan(v, p0), 0.0), 1.0)) for v in (lower, upper)
-        )
+        # each bound is Phi at its far end plus two corrections that cancel as a -> 0;
+        # ((d + a) / a) Phi(z+) - (d / a) p0 would cancel two terms of size d / a
+        p_plus, p_minus = Phi(z_plus), Phi(z_minus)
+        upper = p_plus + (d / a) * (p_plus - p0) + (sigma / a) * (phi(z_plus) - phi(z0))
+        lower = p_minus + (d / a) * (p0 - p_minus) + (sigma / a) * (phi(z0) - phi(z_minus))
+        # NaN only where y - mu -+ a, or its ratio to a or sigma, overflows
+        # (inf * 0, inf - inf); both bounds then round to their limit Phi(z0).
+        # The mode's own cdf Phi(z0) lies between them: 0 <= lower <= p0 <= upper <= 1
+        lower = minimum(maximum(where_nan(lower, p0), 0.0), p0)
+        return as_output(lower), as_output(minimum(maximum(where_nan(upper, p0), p0), 1.0))
 
     def expectation_bounds(self) -> tuple[float, float]:
         """Lower and upper expectations ``mu -+ a/2``."""

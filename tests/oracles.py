@@ -64,6 +64,26 @@ def triangular_cdf_by_cut_integration(mu, sigma, a, x):
     return bel, pl
 
 
+def triangular_cdf_bounds_mp(mu, sigma, a, y, dps=50):
+    """Lower and upper cdf of the triangular random fuzzy number at ``y``, at
+    ``dps`` digits (mpmath): ``Phi(z0) -+ int_0^al (1 - s/al) phi(z0 -+ s) ds``
+    with ``z0 = (y - mu) / sigma`` and ``al = a / sigma``.  ``Phi(z0)`` is the
+    mode's own cdf; a mode within ``a`` above ``y`` adds its membership at
+    ``y`` to the upper cdf, and one within ``a`` below ``y`` takes its
+    membership at ``y`` from the lower cdf."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        mu, sigma, a, y = (mpmath.mpf(v) for v in (mu, sigma, a, y))
+        z0, al = (y - mu) / sigma, a / sigma
+
+        def side(sign):
+            return mpmath.quad(lambda s: (1 - s / al) * mpmath.npdf(z0 + sign * s), [0, al])
+
+        p0 = mpmath.ncdf(z0)
+        return float(p0 - side(-1)), float(p0 + side(1))
+
+
 def triangular_contour_by_mode_integration(mu, sigma, a, x):
     """Mean triangular membership at x over the Gaussian mode."""
 

@@ -33,6 +33,7 @@ from oracles import (
     grfn_kappa_by_verbatim_formula,
     pair_precision_mp,
     random_grfn_params,
+    triangular_cdf_bounds_mp,
 )
 
 mus = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -531,8 +532,8 @@ def _outcome(fn):
 
 
 class TestScalarArrayAgreement:
-    """A float goes through ``math``, an array through numpy/``ndtr``: one
-    formula, so the two paths agree to rounding."""
+    """A float goes through ``math``, an array through numpy (``Phi`` maps
+    ``math.erfc``): one formula, so the two paths agree to rounding."""
 
     @given(mu=extreme_mu, s2=extreme_s2, h=extreme_h, x=points)
     @settings(max_examples=400, deadline=None)
@@ -640,6 +641,50 @@ class TestTriangularGaussian:
         lower, upper = t.cdf_bounds(0.9)
         assert lower == upper == GRFN(0.2, 0.49, math.inf).cdf_bounds(0.9)[0]
         assert t.expectation_bounds() == (0.2, 0.2)
+
+    # y - mu far above a, or a far below sigma: both bounds are Phi((y - mu) / sigma)
+    # exactly, where the ungrouped ((d + a) / a) Phi(z+) - (d / a) Phi(z0) cancels
+    # two terms of size d / a
+    @pytest.mark.parametrize("mu, sigma, a, y, want", [
+        (0.0, 1e-8, 1e-8, 1.0, 1.0),
+        (0.0, 5e-324, 1e-8, 1.0, 1.0),
+        (0.0, 1e-300, 1e-8, 1.0, 1.0),
+        (0.0, 1e-170, 1e-8, 1.0, 1.0),
+        (0.0, 1e160, 1e-8, 1.0, 0.5),
+        (0.0, 1e300, 1e-8, 1.0, 0.5),
+        (0.0, 1e160, 1e8, 1.0, 0.5),
+        (0.0, 1.7e308, 1e8, 1.0, 0.5),
+        (-1e8, 5e-324, 1e-300, 0.0, 1.0),
+        (1e16, 1e160, 1e-8, 0.0, 0.5),
+        (0.0, 1.0, 1e-300, 1.0, 0.5 * math.erfc(-1.0 / math.sqrt(2.0))),
+    ])
+    def test_cdf_bounds_do_not_cancel(self, mu, sigma, a, y, want):
+        assert TriangularGaussian(mu, sigma, a).cdf_bounds(y) == (want, want)
+        lower, upper = TriangularGaussian(mu, sigma, a).cdf_bounds(np.array([y, y]))
+        np.testing.assert_array_equal(lower, [want, want])
+        np.testing.assert_array_equal(upper, [want, want])
+
+    @pytest.mark.parametrize("ratio", [1e-6, 1e-4, 1e-2, 1.0])
+    def test_cdf_bounds_against_a_50_digit_integral(self, ratio):
+        # the error left grows like eps / ratio; the ungrouped form had about 3x it
+        for mu, sigma in ((0.0, 1.0), (2.5, 7.0)):
+            t = TriangularGaussian(mu, sigma, ratio * sigma)
+            for k in range(-10, 11):
+                y = mu + 0.4 * k * sigma
+                want = triangular_cdf_bounds_mp(mu, sigma, ratio * sigma, y)
+                assert t.cdf_bounds(y) == pytest.approx(want, rel=0.0, abs=5e-16 / ratio)
+
+    @pytest.mark.parametrize("mu, sigma, a, y", [
+        (-1.7e308, 1.7e308, 1e300, 0.0),
+        (-1e8, 1e8, 1.0, 1.0),
+        (-1e8, 1e8, 1e-8, 1.0),
+        (0.0, 1e300, 1e8, 1.0),
+    ])
+    def test_cdf_bounds_straddle_the_mode_cdf(self, mu, sigma, a, y):
+        # lower <= Phi((y - mu) / sigma) <= upper holds exactly; rounding broke lower <= upper
+        p0 = 0.5 * math.erfc(-((y - mu) / sigma) / math.sqrt(2.0))
+        lower, upper = TriangularGaussian(mu, sigma, a).cdf_bounds(y)
+        assert 0.0 <= lower <= p0 <= upper <= 1.0
 
     def test_dict_round_trip(self):
         t = TriangularGaussian(0.5, 1.2, 0.8)

@@ -1,10 +1,11 @@
-"""numpy, scipy and the Monte-Carlo engine load only where they are needed.
+"""numpy and the Monte-Carlo engine load only where they are needed, and
+scipy nowhere.
 
 A scalar ``erfs`` call (a GRFN, GFN or triangular document, no array)
 imports neither numpy nor scipy nor ``concurrent.futures``; array queries
-load ``scipy.special`` but never ``scipy.linalg``.  Each test runs a fresh
-interpreter, since this test process has long imported all of them
-through other tests.
+load numpy but no scipy module, and no module of the package imports
+scipy.  Each test runs a fresh interpreter, since this test process has
+long imported all of them through other tests.
 """
 
 import ast
@@ -121,13 +122,35 @@ def test_submodule_exports_resolve(module):
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
-def test_grid_query_loads_scipy_special_only():
-    script = ("from erfs.cli import main\n"
-              "main(['cdf', '--type', 'grfn', '--mu', '0', '--sigma2', '1', '--h', '1',"
-              " '--grid', '-1:1:0.5'])\n" + REPORT)
-    out = _run(script)
-    assert "scipy.special" in out["scipy"]
-    assert not any(m.startswith("scipy.linalg") for m in out["scipy"])
+ARRAY_QUERIES = r"""
+import numpy as np
+from erfs import GRFN
+from erfs.cli import main
+from erfs.grfn import TriangularGaussian
+
+codes = [
+    main(["cdf", "--type", "grfn", "--mu", "0", "--sigma2", "1", "--h", "1", "--grid", "-1:1:0.5"]),
+    main(["plotdata", "--example3", "--mu", "0", "--sigma", "1", "--a", "1.5", "--grid", "-2:2:0.5"]),
+]
+xs = np.linspace(-3.0, 3.0, 7)
+lower, upper = GRFN(0.2, 0.5, 2.0).cdf_bounds(xs)
+tri_lower, tri_upper = TriangularGaussian(0.0, 1.0, 1.5).cdf_bounds(xs)
+result = {"codes": codes, "ordered": bool(np.all(lower <= upper) and np.all(tri_lower <= tri_upper))}
+""" + REPORT
+
+
+def test_array_queries_never_import_scipy():
+    # the normal cdf of an array maps math.erfc: grids need numpy alone
+    out = _run(ARRAY_QUERIES)
+    assert out["codes"] == [0, 0] and out["ordered"]
+    assert out["scipy"] == []
+
+
+def test_no_module_imports_scipy():
+    modules = sorted(f for f in os.listdir(os.path.join(SRC, "erfs")) if f.endswith(".py"))
+    assert "_normal.py" in modules and "cli.py" in modules
+    found = {m: _dependencies(_parse(m), lambda n: n.split(".")[0] == "scipy") for m in modules}
+    assert {m: f for m, f in found.items() if f} == {}
 
 
 def test_vector_models_never_import_scipy_linalg():

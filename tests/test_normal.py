@@ -1,4 +1,5 @@
-"""Tests for the standard-normal kernel: the float path against ``ndtr``."""
+"""Tests for the standard-normal kernel: the float path against ``ndtr``, and
+the array path against the float path, bit for bit."""
 
 import math
 
@@ -9,10 +10,40 @@ from scipy.special import ndtr
 from erfs._normal import Phi, phi, phi_over, step
 
 
+ZS = np.linspace(-38.0, 38.0, 200_001)
+
+
 def test_float_phi_matches_ndtr_on_dense_grid():
-    zs = np.linspace(-38.0, 38.0, 200_001)
-    got = np.array([Phi(float(z)) for z in zs])
-    assert np.max(np.abs(got - ndtr(zs))) <= 1e-15
+    got = np.array([Phi(float(z)) for z in ZS])
+    assert np.max(np.abs(got - ndtr(ZS))) <= 1e-15
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def test_array_phi_is_float_phi_bit_for_bit():
+    got = Phi(ZS)
+    assert got.dtype == float and got.shape == ZS.shape
+    np.testing.assert_array_equal(_bits(got), _bits([Phi(float(z)) for z in ZS]))
+
+
+@pytest.mark.parametrize("zs", [
+    np.array(0.3),
+    np.array(math.nan),
+    np.empty(0),
+    np.empty((2, 0)),
+    np.array([[-math.inf, -1.5, math.nan], [0.0, 2.25, math.inf]]),
+    np.linspace(-9.0, 9.0, 40).reshape(4, 10)[:, ::3],   # not contiguous
+    np.array([[1.0, -math.inf], [math.nan, 40.0]]).T,    # Fortran order
+    [-math.inf, -0.0, math.nan, 7.5],                    # a list
+])
+def test_array_phi_keeps_shape_and_float_values(zs):
+    arr = np.asarray(zs, dtype=float)
+    got = np.asarray(Phi(zs))
+    assert got.shape == arr.shape
+    want = [Phi(float(z)) for z in arr.ravel()]
+    np.testing.assert_array_equal(_bits(got).ravel(), _bits(want))
 
 
 def test_float_phi_tails_and_center():
