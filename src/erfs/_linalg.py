@@ -13,10 +13,10 @@ times slower right after a large scipy factorization.  One BLAS keeps one
 pool.
 
 Tolerances (relative):
-  * symmetry:            1e-10
+  * symmetry: half the skew part, |a.T/2 - a/2| <= 0.5e-10 * max(|a|, 1)
   * PSD eigenvalue test: eigenvalues >= -1e-10 * max eigenvalue
-  * PD test: each Cholesky pivot L_ii^2 > 1e-12 * a_ii
-  * Schur complement rank cut: 1e-12 (of the unit-diagonal trailing block)
+  * PD test (H1 + H2, Schur trailing block): Cholesky pivots L_ii^2 > 1e-12 * a_ii
+  * Schur complement rank cut, past a failed PD test: 1e-12 (unit-diagonal block)
 """
 
 from __future__ import annotations
@@ -40,14 +40,14 @@ def as_matrix(a, name: str) -> np.ndarray:
 
 
 def check_symmetric(a: np.ndarray, name: str) -> np.ndarray:
-    scale = max(np.abs(a).max(), 1.0)
-    with np.errstate(over="ignore"):  # an overflowing difference is inf and fails the test
-        skew = a.T - a
-    if np.abs(skew).max() > SYM_RTOL * scale:
+    # half the skew part, and a + half the midpoint of a and a.T: halves of finite
+    # floats cannot overflow when subtracted, a.T - a and a + a.T can above about 9e307
+    half = 0.5 * a.T - 0.5 * a
+    if not half.any():
+        return a.copy()
+    if np.abs(half).max() > 0.5 * SYM_RTOL * max(np.abs(a).max(), 1.0):
         raise NotPositiveDefinite(f"{name} is not symmetric to relative tolerance {SYM_RTOL}")
-    # the midpoint of a and a.T, formed without a + a.T, which overflows above
-    # about 9e307; an exactly symmetric a comes back bit-identical
-    return a + 0.5 * skew
+    return a + half
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray | None:
@@ -59,6 +59,14 @@ def _cholesky(a: np.ndarray) -> np.ndarray | None:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         return None
+
+
+def _pd_cholesky(a: np.ndarray) -> np.ndarray | None:
+    """:func:`_cholesky` of ``a`` if each ``L_ii^2 > PD_RTOL a_ii``, else None: rounding
+    passes a singular ``a`` with a pivot near ``eps``, numpy a non-finite one with inf or NaN."""
+    lower = _cholesky(a)
+    ok = lower is not None and (lower.diagonal() ** 2 > PD_RTOL * a.diagonal()).all()
+    return lower if ok else None
 
 
 def check_psd(a: np.ndarray, name: str) -> np.ndarray:
@@ -92,33 +100,26 @@ def is_pd(a: np.ndarray) -> bool:
     return bool(w[0] > thresh)
 
 
+# only perfbench/wl_vector.py:boundaries and the tests still use SpdFactor
 class SpdFactor:
-    """Cholesky factorization ``a = L L^T`` of an SPD matrix, with solve and
-    log-determinant.  Raises :class:`NotPositiveDefinite` when it fails or
-    when a pivot ``L_ii^2 <= PD_RTOL a_ii`` (rounding lets Cholesky pass a
-    singular matrix with a pivot near ``eps``); the test ignores units."""
+    """Cholesky factorization ``a = L L^T`` by :func:`_pd_cholesky`, with solve and
+    log-determinant; :class:`NotPositiveDefinite` when that returns None."""
 
     def __init__(self, a: np.ndarray, name: str = "matrix"):
         a = check_symmetric(as_matrix(a, name), name)
-        lower = _cholesky(a)
-        if lower is None or (lower.diagonal() ** 2 <= PD_RTOL * a.diagonal()).any():
+        lower = _pd_cholesky(a)
+        if lower is None:
             raise NotPositiveDefinite(f"{name} is not positive definite")
         self._a = a
         self.L = lower
-        self._logdet = 2.0 * float(np.log(lower.diagonal()).sum())
-        self.n = a.shape[0]
+        self.logdet = 2.0 * float(np.log(lower.diagonal()).sum())
 
     def solve(self, b) -> np.ndarray:
         return np.linalg.solve(self._a, np.asarray(b, dtype=float))
 
-    # only perfbench/wl_vector.py:boundaries still uses inv
     def inv(self) -> np.ndarray:
-        out = self.solve(np.eye(self.n))
+        out = self.solve(np.eye(len(self._a)))
         return 0.5 * (out + out.T)
-
-    @property
-    def logdet(self) -> float:
-        return self._logdet
 
     def quad_form(self, v) -> float:
         """v^T A^{-1} v for the factored matrix A."""
@@ -131,9 +132,12 @@ def parallel_sum(h1: np.ndarray, h2: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     ``Hbar`` is the precision of the height of a product of two Gaussian
     memberships: PSD, and 0 when either is (Anderson & Duffin, 1969).
-    :class:`NotPositiveDefinite` names ``H1 + H2`` unless it is PD.
+    :class:`NotPositiveDefinite` names ``H1 + H2`` unless it passes the PD test.
     """
-    a2 = SpdFactor(h1 + h2, "H1 + H2").solve(h2)
+    h = h1 + h2
+    if _pd_cholesky(h) is None:
+        raise NotPositiveDefinite("H1 + H2 is not positive definite")
+    a2 = np.linalg.solve(h, h2)
     hbar = h1 @ a2
     return a2, 0.5 * (hbar + hbar.T)
 
@@ -141,23 +145,27 @@ def parallel_sum(h1: np.ndarray, h2: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def schur_complement_keep_leading(h: np.ndarray, keep: int) -> np.ndarray:
     """Precision of the leading ``keep`` coordinates after maximizing out the rest.
 
-    The generalized Schur complement ``H11 - B W^-1 B^T``, ``B = H12 V``,
-    over the eigenpairs ``(W, V)`` of ``H22`` (rescaled to a unit diagonal)
-    above the rank cut; a PSD ``H`` has ``range(H21)`` in ``range(H22)``,
-    so a zero trailing block passes ``H11`` through.  A PSD ``H`` also has
-    ``B_ik^2 <= H11_ii W_k``: a cut eigenpair coupled beyond rounding is
-    ill-conditioned, not null, and raises :class:`SingularBlock`.
+    ``H11 - H12 H22^-1 H21``, solved when ``H22`` passes the PD test.  Else the
+    generalized one, ``H11 - B W^-1 B^T`` with ``B = H12 S V``, over the eigenpairs
+    ``(W, V)`` of ``S H22 S`` (``H22`` rescaled to a unit diagonal) above the rank
+    cut: a PSD ``H`` has ``range(H21)`` in ``range(H22)``, so a zero trailing
+    block passes ``H11`` through, and ``B_ik^2 <= H11_ii W_k``, so a cut eigenpair
+    coupled beyond rounding is ill-conditioned, not null, and raises
+    :class:`SingularBlock`.
     """
     p = h.shape[0]
     if not 0 < keep < p:
         raise SingularBlock(f"keep must be in (0, {p}), got {keep}")
-    d = h.diagonal()[keep:]
+    h11, h12, h22 = h[:keep, :keep], h[:keep, keep:], h[keep:, keep:]
+    if _pd_cholesky(h22) is not None:
+        out = h11 - h12 @ np.linalg.solve(h22, h12.T)
+        return 0.5 * (out + out.T)
+    d = h22.diagonal()
     s = 1.0 / np.sqrt(np.where(d > 0, d, 1.0))
-    w, v = np.linalg.eigh(s[:, None] * h[keep:, keep:] * s)
-    b = (h[:keep, keep:] * s) @ v
+    w, v = np.linalg.eigh(s[:, None] * h22 * s)
+    b = (h12 * s) @ v
     cut = PD_RTOL * max(w[-1], 1e-300)
     rank = w > cut
-    h11 = h[:keep, :keep]
     if (b[:, ~rank] ** 2 > PD_RTOL * cut * h11.diagonal()[:, None]).any():
         raise SingularBlock("trailing block is singular to tolerance 1e-12 but coupled to the rest")
     b = b[:, rank]

@@ -15,8 +15,8 @@ All of it holds for any PSD ``Sigma`` and ``H``.  One Gaussian height,
 :func:`_log_height`, gives the contour, the conflict of :func:`combine`
 and the GFV product's height, with one overflow rule for all three; it
 factors, by LU, only ``I + h s``, which stays nonsingular for a PSD pair.
-Marginalization takes a generalized Schur complement.  The conflict is
-formed in log-space.
+Marginalization takes a Schur complement, generalized for a singular
+trailing block.  The conflict is formed in log-space.
 
 Contract: :func:`combine` needs ``H1 + H2`` positive definite, so a
 vacuous extension fuses with evidence on the missing coordinates.
@@ -87,9 +87,9 @@ class GRFV:
         return float(out) if out.ndim == 0 else out
 
     def marginalize(self, keep: int) -> "GRFV":
-        """Marginal on the leading ``keep`` coordinates: the kept block's
-        generalized Schur complement, so a vacuous or exactly singular
-        trailing block projects like any other."""
+        """Marginal on the leading ``keep`` coordinates: the kept block's Schur
+        complement, generalized where the trailing block fails the PD test, so
+        a vacuous or exactly singular trailing block projects like any other."""
         h11 = schur_complement_keep_leading(self.H, keep)
         return GRFV(self.mu[:keep], self.Sigma[:keep, :keep], h11)
 
@@ -231,15 +231,16 @@ def combine(g1: GRFV, g2: GRFV) -> GrfvFusion:
 
     The combined mode ``A1 M1 + A2 M2``, ``A2 = (H1 + H2)^-1 H2`` and
     ``A1 = I - A2``, has under the height-weighted pair law the mean and
-    covariance (``C = A1 Sigma1 - A2 Sigma2``)
+    covariance (``C = A1 Sigma1 - A2 Sigma2``, ``K = C M^-1``, ``C G = K Hbar``)
 
         mu12    = A1 mu1 + A2 mu2 - C G d,
-        Sigma12 = A1 Sigma1 A1^T + A2 Sigma2 A2^T - C G C^T.
+        Sigma12 = (A1 - C G) Sigma1 (A1 - C G)^T + (A2 + C G) Sigma2 (A2 + C G)^T
+                  + K Hbar K^T.
 
-    They are the image under ``[A1, A2]`` of the 2p x 2p soft-conditioned
-    pair law, whose construction is kept only as a test reference
-    (``tests/oracles.py``).  The conflict is decided before any mode-law
-    work, so a rejected fusion stops there.
+    They are the image under ``[A1, A2]`` of the 2p x 2p soft-conditioned pair
+    law (``tests/oracles.py``).  ``Sigma12``, the Joseph form (Bucy & Joseph, 1968)
+    of ``A1 Sigma1 A1^T + A2 Sigma2 A2^T - C G C^T``, adds PSD terms that cannot
+    cancel.  The conflict is decided first, so a rejected fusion stops there.
     """
     (mu, sigma, h), kappa = _fuse(g1, g2, conflict_degree)
     return GrfvFusion(GRFV(mu, sigma, h), kappa)
@@ -264,13 +265,12 @@ def _fuse(g1: GRFV, g2: GRFV, weigh):
         log1mk, m, e = _log_height(hbar, s1 + s2, g1.mu, g2.mu, "I + Hbar S")
         weight = weigh(log1mk)
 
-        g = np.linalg.solve(m, hbar)
-        g = 0.5 * (g + g.T)
-        gd = 2.0 * (g @ e)  # d = 2 e may overflow in a coordinate that G ignores
         a1 = np.eye(g1.dim) - a2
-        a1s1, a2s2 = a1 @ s1, a2 @ s2
-        c = a1s1 - a2s2
-        mu12 = a1 @ g1.mu + a2 @ g2.mu - c @ gd
-        sigma12 = a1s1 @ a1.T + a2s2 @ a2.T - (c @ g) @ c.T
+        k = np.linalg.solve(m.T, (a1 @ s1 - a2 @ s2).T).T  # K = C M^-1
+        cg = k @ hbar  # C G = K Hbar
+        mu12 = a1 @ g1.mu + a2 @ g2.mu - 2.0 * (cg @ e)  # d = 2 e may overflow where C G ignores it
+        a1 -= cg
+        a2 += cg
+        sigma12 = (a1 @ s1) @ a1.T + (a2 @ s2) @ a2.T + cg @ k.T
         sigma12 = 0.5 * (sigma12 + sigma12.T)
     return (mu12, sigma12, g1.H + g2.H), weight

@@ -180,6 +180,29 @@ def grfv_combination_by_pair_law(mu1, s1, h1, mu2, s2, h2):
     return a @ mu_tilde, 0.5 * (sigma12 + sigma12.T)
 
 
+def schur_complement_by_eigh(h, keep):
+    """Precision of the leading ``keep`` coordinates of a PSD ``h`` after
+    maximizing out the rest, always by the generalized Schur complement over
+    the eigenpairs of the unit-diagonal trailing block above a 1e-12 rank cut.
+    This is the only form the library used before it solved positive definite
+    trailing blocks by Cholesky; like it, a cut eigenpair coupled beyond
+    rounding raises :class:`erfs.errors.SingularBlock`."""
+    from erfs.errors import SingularBlock
+
+    d = h.diagonal()[keep:]
+    s = 1.0 / np.sqrt(np.where(d > 0, d, 1.0))
+    w, v = np.linalg.eigh(s[:, None] * h[keep:, keep:] * s)
+    b = (h[:keep, keep:] * s) @ v
+    cut = 1e-12 * max(w[-1], 1e-300)
+    rank = w > cut
+    h11 = h[:keep, :keep]
+    if (b[:, ~rank] ** 2 > 1e-12 * cut * h11.diagonal()[:, None]).any():
+        raise SingularBlock("trailing block is singular to tolerance 1e-12 but coupled to the rest")
+    b = b[:, rank]
+    out = h11 - (b / w[rank]) @ b.T
+    return 0.5 * (out + out.T)
+
+
 def pair_precision_mp(h1, h2, dps=50):
     """``h1 h2 / (h1 + h2)`` for finite positive precisions, as ``1 / (1/h1 + 1/h2)``
     at ``dps`` digits (mpmath)."""
@@ -214,3 +237,42 @@ def grfn_fusion_by_kalman_update(g1, g2, dps=50):
         mu = w1 * m1 + w2 * m2
         var = w1 * w1 * c11 + w2 * w2 * c22 + 2 * w1 * w2 * c12
         return mu, var, h1 + h2, mpmath.log(r / n) / 2 - d * d / (2 * n)
+
+
+def grfv_fusion_by_kalman_update(g1, g2, dps=50):
+    """Combined ``(mu, Sigma, H, log(1 - kappa))`` of two GRFVs with positive
+    definite precisions, at ``dps`` digits (mpmath): the matrix twin of
+    :func:`grfn_fusion_by_kalman_update`.
+
+    The pair height ``exp(-(M1 - M2)^T Hbar (M1 - M2) / 2)`` is the likelihood
+    of observing ``M1 - M2 = 0`` with noise covariance ``R = H1^-1 + H2^-1``.
+    With the innovation covariance ``N = Sigma1 + Sigma2 + R`` and
+    ``d = mu1 - mu2``, the pair law updates to mean
+    ``(mu1 - Sigma1 N^-1 d, mu2 + Sigma2 N^-1 d)`` and covariance
+    ``diag(Sigma1, Sigma2) - [Sigma1; -Sigma2] N^-1 [Sigma1, -Sigma2]``; the
+    combined mode is its image under ``[A1, A2]``, ``Ai = (H1 + H2)^-1 Hi``, and
+    ``1 - kappa = sqrt(|R| / |N|) exp(-d^T N^-1 d / 2)``.  Zero and singular
+    ``Sigma`` are valid inputs.  Returns float numpy arrays and a float.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        mu1, mu2 = (mpmath.matrix([mpmath.mpf(float(v)) for v in g.mu]) for g in (g1, g2))
+        s1, s2, h1, h2 = (mpmath.matrix([[mpmath.mpf(float(v)) for v in row] for row in m])
+                          for m in (g1.Sigma, g2.Sigma, g1.H, g2.H))
+        r = mpmath.inverse(h1) + mpmath.inverse(h2)
+        n = s1 + s2 + r
+        ninv = mpmath.inverse(n)
+        d = mu1 - mu2
+        m1, m2 = mu1 - s1 * ninv * d, mu2 + s2 * ninv * d
+        c11, c22, c12 = s1 - s1 * ninv * s1, s2 - s2 * ninv * s2, s1 * ninv * s2
+        hsum_inv = mpmath.inverse(h1 + h2)
+        a1, a2 = hsum_inv * h1, hsum_inv * h2
+        mu = a1 * m1 + a2 * m2
+        sigma = a1 * c11 * a1.T + a2 * c22 * a2.T + a1 * c12 * a2.T + a2 * c12.T * a1.T
+        log1mk = (mpmath.log(mpmath.det(r)) - mpmath.log(mpmath.det(n))) / 2 - (d.T * ninv * d)[0] / 2
+
+        def to_array(m):
+            return np.array(m.tolist(), dtype=float)
+
+        return (to_array(mu).ravel(), to_array(sigma), to_array(h1 + h2), float(log1mk))

@@ -669,11 +669,15 @@ def _far_3d(i, kind):
     # pi / (2h) overflows
     ([{"type": "gfn", "mode": 0, "precision": 5e-324}], ["expect"], 0,
      '{"lower": -5.638552261264709e+161, "upper": 5.638552261264709e+161}\n'),
+    # the mode covariance A1 S1 A1^T + A2 S2 A2^T - C G C^T cancelled to [[0.0]]
+    ([{"type": "grfv", "mu": [0], "Sigma": [[1e20]], "H": [[1]]},
+      {"type": "grfv", "mu": [1], "Sigma": [[0]], "H": [[1]]}], ["combine"], 0,
+     'step 1: kappa=0.999999999859\n{"type": "grfv", "mu": [1.0], "Sigma": [[0.5]], "H": [[2.0]]}\n'),
     *[([_far_3d(0, a), _far_3d(1, b)], [cmd], 2, "")
       for cmd in ("combine", "conflict") for a, b in (("grfv",) * 2, ("gfv",) * 2, ("grfv", "gfv"))],
 ], ids=["tiny-h", "huge-gfn", "pair-precision", "pair-precision-nan", "variance-product",
         "variance-times-precision", "variance-sum", "offset-and-h-sigma2",
-        "subnormal-h", "belpl-offset-times-zero-weight", "expect-subnormal-h",
+        "subnormal-h", "belpl-offset-times-zero-weight", "expect-subnormal-h", "grfv-sigma-1e20",
         *[f"{cmd}-3d-{kinds}" for cmd in ("combine", "conflict")
                          for kinds in ("grfv", "gfv", "mixed")]])
 def test_extreme_magnitudes_answer_or_fail_typed(docs, argv, code, stdout, tmp_path, capsys):

@@ -17,6 +17,7 @@ from erfs.grfn import GRFN, log_one_minus_kappa
 from erfs.grfn import combine as combine_1d
 from erfs.grfv import GRFV, combine
 from oracles import (grfv_combination_by_dense_k_form, grfv_combination_by_pair_law,
+                     grfv_fusion_by_kalman_update,
                      random_grfn_params, random_spd)
 
 
@@ -608,3 +609,121 @@ def test_diagonal_semidefinite_pairs_match_the_scalar_algebra(coords, x):
         assert_allclose(got, want, rtol=1e-12, atol=1e-12)
     want = math.prod(n.contour(xi) for n, xi in zip(fns, x))
     assert f.combined.contour(x) == pytest.approx(want, rel=1e-10, abs=1e-300)
+
+
+# ---------------------------------------------------------------------------
+# the fused mode law against a 50-digit reference, and the laws fusion obeys
+
+
+def _integer_psd(rng, p, kind):
+    """An exactly PSD integer matrix (its products with powers of ten up to 1e20
+    stay exact): ``B B^T + I``, a rank-one ``v v^T`` or zero."""
+    if kind == "zero":
+        return np.zeros((p, p))
+    if kind == "rank-one":
+        v = rng.integers(-3, 4, p).astype(float)
+        v[0] = 1.0 + abs(v[0])
+        return np.outer(v, v)
+    b = rng.integers(-3, 4, (p, p)).astype(float)
+    return b @ b.T + np.eye(p)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("kinds", [("full", "zero"), ("full", "full"), ("rank-one", "zero"),
+                                   ("rank-one", "rank-one"), ("zero", "zero")], ids="-".join)
+def test_fusion_matches_the_50_digit_kalman_update(p, kinds):
+    # Sigma1 at scales 1..1e20 (Sigma2 at scale 1); the accepted fusions match the mpmath
+    # reference within 1e-10 where cond(I + Hbar S) <= 1e5, and within 1e-15 cond beyond,
+    # where a fused Sigma whose smallest eigenvalue rounds below -1e-10 of its largest is
+    # rejected as NotPositiveDefinite.  A rank-one Sigma1 at scale s has cond about s at
+    # p >= 2, so it stops at 1e12: beyond, I + Hbar S is singular in floating point
+    rng = np.random.default_rng([p, len(kinds[0]), len(kinds[1])])
+    for exponent in range(0, 13 if kinds[0] == "rank-one" and p > 1 else 21, 2):
+        s = 10.0 ** exponent
+        g1 = GRFV(rng.integers(-3, 4, p).astype(float), s * _integer_psd(rng, p, kinds[0]),
+                  _integer_psd(rng, p, "full"))
+        g2 = GRFV(rng.integers(-3, 4, p).astype(float), _integer_psd(rng, p, kinds[1]),
+                  _integer_psd(rng, p, "full"))
+        mu, sigma, h, log1mk = grfv_fusion_by_kalman_update(g1, g2)
+        if abs(log1mk - _LOG_CUTOFF) < 1e-6:
+            continue
+        if log1mk < _LOG_CUTOFF:
+            with pytest.raises(ContradictoryEvidence):
+                combine(g1, g2)
+            continue
+        hbar = np.linalg.inv(np.linalg.inv(g1.H) + np.linalg.inv(g2.H))
+        tol = max(1e-10, 1e-15 * np.linalg.cond(np.eye(p) + hbar @ (g1.Sigma + g2.Sigma)))
+        try:
+            f = combine(g1, g2)
+        except NotPositiveDefinite:
+            assert tol > 1e-10 and kinds[0] == "rank-one"
+            continue
+        assert np.linalg.norm(f.combined.mu - mu) <= tol * max(np.linalg.norm(mu), 1.0)
+        assert np.linalg.norm(f.combined.Sigma - sigma) <= tol * max(np.linalg.norm(sigma), 1e-300)
+        assert_allclose(f.combined.H, h, rtol=1e-15)
+        assert f.kappa == pytest.approx(-math.expm1(log1mk), rel=0, abs=1e-2 * tol)
+
+
+@pytest.mark.parametrize("exponent", range(0, 21))
+def test_one_dimensional_fusion_matches_the_scalar_one_up_to_hbar_s_1e20(exponent):
+    # the subtracted form A1 S1 A1 + A2 S2 A2 - C G C returned 0.0 for 1e20 against 0 (exact 0.5)
+    rng = np.random.default_rng(exponent)
+    for sigma2 in (0.0, float(rng.uniform(0.1, 2.0))):
+        h1, h2 = rng.uniform(0.5, 2.0, 2)
+        hbar = h1 * h2 / (h1 + h2)
+        a = (float(rng.normal()), 10.0 ** exponent / hbar, float(h1))
+        b = (float(rng.normal()), sigma2, float(h2))
+        fv = combine(GRFV([a[0]], [[a[1]]], [[a[2]]]), GRFV([b[0]], [[b[1]]], [[b[2]]]))
+        fn = combine_1d(GRFN(*a), GRFN(*b))
+        assert fv.combined.mu[0] == pytest.approx(fn.combined.mu, rel=1e-10, abs=1e-300)
+        assert fv.combined.Sigma[0, 0] == pytest.approx(fn.combined.sigma2, rel=1e-10)
+        assert fv.combined.H[0, 0] == pytest.approx(fn.combined.h, rel=1e-15)
+        assert 1.0 - fv.kappa == pytest.approx(1.0 - fn.kappa, rel=1e-6)
+
+
+@st.composite
+def _three_sources(draw):
+    """Three sources at p in {1, 2, 3, 5}: each Sigma zero, rank-one or full at a
+    log-uniform scale, and at most one H vacuous-extended (the other two are PD, so
+    each pair's H1 + H2 is).  A full Sigma stays below 1e14 and 10^(28/p), where two
+    of them fuse above the 1e-15 cutoff; a rank-one one at p >= 2 below 1e2: its
+    fused law is accurate to about 1e-16 cond(I + Hbar S), and the cond grows like
+    its scale times |v|^2 (up to 25 here)."""
+    p = draw(st.sampled_from((1, 2, 3, 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vacuous = draw(st.sampled_from((None, 0, 1, 2))) if p > 1 else None
+    sources = []
+    for i in range(3):
+        kind = draw(st.sampled_from(("zero", "rank-one", "full")))
+        top = min(14.0, 28.0 / p) if kind == "full" or p == 1 else 2.0
+        sigma = 10.0 ** draw(st.floats(0.0, top)) * _integer_psd(rng, p, kind)
+        g = GRFV(0.3 * rng.normal(size=p), sigma, random_spd(rng, p, 1.0 / p))
+        if i == vacuous:
+            k = int(rng.integers(1, p))
+            g = GRFV(g.mu[k:], g.Sigma[k:, k:], g.H[k:, k:]).vacuous_extend(k)
+        sources.append(g)
+    return sources
+
+
+def _normwise(a, b):
+    # the floor, far below any nonzero entry the sources fuse to, serves a fused Sigma
+    # that is zero in exact arithmetic and rounds to about 1e-32
+    return np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b), 1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_three_sources())
+def test_combination_is_associative_and_one_minus_kappa_multiplies(sources):
+    a, b, c = sources
+    # log(1 - kappa) as combine decides it: kappa itself rounds near 1
+    with mock.patch.object(grfv, "conflict_degree", wraps=grfv.conflict_degree) as decided:
+        try:
+            left = combine(combine(a, b).combined, c).combined
+            right = combine(a, combine(b, c).combined).combined
+        except ContradictoryEvidence:
+            assume(False)
+    ab, abc, bc, a_bc = (call.args[0] for call in decided.call_args_list)
+    assert _normwise(left.Sigma, right.Sigma) <= 1e-12
+    assert np.linalg.norm(left.mu - right.mu) <= 1e-12 * max(np.linalg.norm(left.mu), 1.0)
+    assert _normwise(left.H, right.H) <= 1e-15
+    assert ab + abc == pytest.approx(bc + a_bc, rel=1e-12, abs=1e-12)

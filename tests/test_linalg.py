@@ -1,7 +1,10 @@
 """Tests for the SPD kernel."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from oracles import random_spd, schur_complement_by_eigh
 
 from erfs._linalg import (PSD_RTOL, SpdFactor, check_psd, check_symmetric, parallel_sum,
                           schur_complement_keep_leading)
@@ -74,11 +77,40 @@ def test_random_near_boundary_matrices():
 
 class TestCheckSymmetric:
     def test_symmetric_input_is_returned_bit_identical(self):
+        # as a copy: a GRFV keeps what check_symmetric returns, never the caller's array or a
+        # view of a larger one
         rng = np.random.default_rng(3)
         for p in (1, 2, 7, 40):
             b = rng.standard_normal((p, p)) * 10.0 ** rng.integers(-300, 300, (p, p))
             a = np.triu(b) + np.triu(b, 1).T
-            assert check_symmetric(a, "A").tobytes() == a.tobytes()
+            out = check_symmetric(a, "A")
+            assert out.tobytes() == a.tobytes() and not np.shares_memory(out, a)
+        big = np.eye(4)
+        out = check_symmetric(big[:2, :2], "A")
+        assert out.base is None and out.flags.c_contiguous
+
+    def test_near_symmetric_input_gets_the_same_midpoint_as_the_full_skew(self):
+        # a + (a.T/2 - a/2) equals a + (a.T - a)/2 bit for bit wherever halving is exact,
+        # near the float maximum too, where a.T - a stays finite for entries of one sign
+        rng = np.random.default_rng(5)
+        for p in (1, 2, 3, 8, 30):
+            for scale in (1e-300, 1e-8, 1.0, 1e8, 1e300, 1.7e308):
+                b = rng.uniform(0.5, 1.0, (p, p)) * scale
+                a = np.triu(b) + np.triu(b, 1).T
+                a = a * (1.0 + 1e-12 * rng.standard_normal((p, p)))
+                assert np.isfinite(a).all()
+                assert check_symmetric(a, "A").tobytes() == (a + 0.5 * (a.T - a)).tobytes()
+
+    def test_skew_only_in_subnormal_bits(self):
+        # halving a subnormal rounds, so the midpoint may move by one subnormal step (5e-324)
+        # against (a.T - a) / 2; a skew that halves to zero returns the input as a copy
+        u = 5e-324
+        for x, y in ((u, 0.0), (3 * u, u), (2 * u, 0.0), (7 * u, 2 * u)):
+            a = np.array([[1.0, x], [y, 1.0]])
+            out = check_symmetric(a, "A")
+            assert np.abs(out - (a + 0.5 * (a.T - a))).max() <= u
+        a = np.array([[1.0, u], [0.0, 1.0]])
+        np.testing.assert_array_equal(check_symmetric(a, "A"), a)
 
     def test_near_symmetric_input_becomes_the_midpoint(self):
         a = np.array([[2.0, 1.0], [1.0 + 1e-12, 3.0]])
@@ -151,7 +183,83 @@ class TestParallelSum:
             parallel_sum(np.diag([1.0, 0.0]), np.diag([2.0, 0.0]))
 
 
+def _schur_sweep_case(exponent, q, coupling, seed):
+    """``H`` (keep 2) whose unit-diagonal trailing q x q block has condition number
+    about ``10^exponent``, in random units.  ``in range``: ``H12 = X H22``, a
+    well-posed complement ``I``.  ``weak``: also coupled along the weakest eigenvector,
+    with ``H22^-1 H21`` of size ``w_min^-1/2``, so the complement is ``I`` up to terms
+    of size ``w_min^1/2`` only after cancelling two terms of size 1."""
+    rng = np.random.default_rng(seed)
+    qq, _ = np.linalg.qr(rng.standard_normal((q, q)))
+    w = np.logspace(0, -exponent, q)
+    h22 = qq @ np.diag(w) @ qq.T
+    x = rng.standard_normal((2, q))
+    h12, h11 = x @ h22, x @ h22 @ x.T + np.eye(2)
+    if coupling == "weak":
+        c = rng.standard_normal(2)
+        h12 = h12 + np.outer(c, qq[:, -1]) * np.sqrt(0.5 * w[-1])
+        h11 = h11 + 0.5 * np.outer(c, c)
+    h = np.block([[h11, h12], [h12.T, h22]])
+    d = np.exp(rng.uniform(-5.0, 5.0, 2 + q))
+    return d[:, None] * (0.5 * (h + h.T)) * d
+
+
+def _complement_mp(h, keep):
+    import mpmath
+
+    with mpmath.workdps(50):
+        m = mpmath.matrix(h.tolist())
+        out = m[:keep, :keep] - m[:keep, keep:] * mpmath.inverse(m[keep:, keep:]) * m[keep:, :keep]
+        return np.array(out.tolist(), dtype=float)
+
+
+# the sweep inputs whose outcome differs from the eigendecomposition form's: each raised
+# SingularBlock there (a cut eigenpair coupled beyond rounding) and passes the pivot test here
+_SWEEP_OUTCOME_CHANGES = {
+    (12, 5, "in range", 2), (12, 5, "weak", 1), (12, 5, "weak", 2), (12.5, 2, "weak", 1),
+    (12.5, 2, "weak", 2), (12.5, 3, "weak", 1), (12.5, 5, "weak", 1), (12.5, 5, "weak", 2),
+    (13, 2, "weak", 0), (13, 5, "weak", 0), (13, 5, "weak", 1), (13, 5, "weak", 2),
+    (13.5, 3, "weak", 0), (13.5, 5, "weak", 0), (13.5, 5, "weak", 1), (14, 3, "weak", 0),
+    (14, 3, "weak", 2), (14, 5, "weak", 0), (14, 5, "weak", 1),
+}
+
+
 class TestSchurComplement:
+    @pytest.mark.parametrize("p", [2, 3, 10, 50, 200])
+    def test_pd_trailing_block_is_solved_as_the_eigen_form(self, p):
+        rng = np.random.default_rng(p)
+        for keep in sorted({1, p // 2, p - 1}):
+            h = random_spd(rng, p)
+            want = schur_complement_by_eigh(h, keep)
+            with mock.patch.object(np.linalg, "eigh", side_effect=AssertionError("eigh ran")):
+                got = schur_complement_keep_leading(h, keep)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_near_singular_sweep(self):
+        # scaled trailing-block condition numbers 1e8..1e14: every value is within
+        # 1e-15 cond of the 50-digit complement, a block the eigen form answers is answered,
+        # and the outcomes that changed are listed
+        changed = set()
+        for exponent in (8, 9, 10, 11, 11.5, 12, 12.5, 13, 13.5, 14):
+            for q in (2, 3, 5):
+                for coupling in ("in range", "weak"):
+                    for seed in range(3):
+                        h = _schur_sweep_case(exponent, q, coupling, seed)
+                        try:
+                            before = schur_complement_by_eigh(h, 2)
+                        except SingularBlock:
+                            before = None
+                        try:
+                            got = schur_complement_keep_leading(h, 2)
+                        except SingularBlock:
+                            assert before is None
+                            continue
+                        want = _complement_mp(h, 2)
+                        assert np.linalg.norm(got - want) <= 1e-15 * 10**exponent * np.linalg.norm(want)
+                        if before is None:
+                            changed.add((exponent, q, coupling, seed))
+        assert changed == _SWEEP_OUTCOME_CHANGES
+
     def test_matches_the_inverse_formula_on_pd_blocks(self):
         h = _with_spectrum([4.0, 2.0, 1.0, 0.5, 0.3], seed=3)
         want = h[:2, :2] - h[:2, 2:] @ np.linalg.solve(h[2:, 2:], h[2:, :2])
