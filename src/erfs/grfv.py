@@ -14,7 +14,7 @@ projection the marginal, and :func:`erfs.fuzzy.product` of two GFVs is
 All of it holds for any PSD ``Sigma`` and ``H``.  One Gaussian height,
 :func:`_log_height`, gives the contour, the conflict of :func:`combine`
 and the GFV product's height, with one overflow rule for all three; it
-factors, by LU, only ``I + h s``, which stays nonsingular for a PSD pair.
+factors, by LU, only ``I + s h``, which stays nonsingular for a PSD pair.
 Marginalization takes a Schur complement, generalized for a singular
 trailing block.  The conflict is formed in log-space.
 
@@ -91,7 +91,7 @@ class GRFV:
         complement, generalized where the trailing block fails the PD test, so
         a vacuous or exactly singular trailing block projects like any other."""
         h11 = schur_complement_keep_leading(self.H, keep)
-        return GRFV(self.mu[:keep], self.Sigma[:keep, :keep], h11)
+        return self._like(self.mu[:keep], self.Sigma[:keep, :keep], h11)
 
     def vacuous_extend(self, k: int) -> "GRFV":
         """Extend by ``k`` coordinates about which nothing is asserted.
@@ -112,7 +112,7 @@ class GRFV:
         sigma[p:, p:] = np.eye(k)
         h = np.zeros((p + k, p + k))
         h[:p, :p] = self.H
-        return GRFV(mu, sigma, h)
+        return self._like(mu, sigma, h)
 
     def is_noninteractive(self) -> bool:
         """True iff both Sigma and H are diagonal (coordinates carry
@@ -124,7 +124,12 @@ class GRFV:
         if sorted(perm.tolist()) != list(range(self.dim)):
             raise DomainError(f"not a permutation of 0..{self.dim - 1}: {perm.tolist()}")
         ix = np.ix_(perm, perm)
-        return GRFV(self.mu[perm], self.Sigma[ix], self.H[ix])
+        return self._like(self.mu[perm], self.Sigma[ix], self.H[ix])
+
+    @classmethod
+    def _like(cls, mu, sigma, h) -> "GRFV":
+        """The result of a coordinate operation, of this model type."""
+        return GRFV(mu, sigma, h)
 
     def to_dict(self) -> dict:
         return {field: getattr(self, field).tolist() for field in self._FIELDS}
@@ -153,21 +158,12 @@ class GFV(GRFV):
     mode = property(lambda self: self.mu)
     precision = property(lambda self: self.H)
     membership = GRFV.contour
+    project = GRFV.marginalize
+    cylindrical_extension = GRFV.vacuous_extend
 
-    def project(self, keep: int) -> "GFV":
-        """Project onto the leading ``keep`` coordinates (sup over the rest)."""
-        return _as_gfv(self.marginalize(keep))
-
-    def cylindrical_extension(self, k: int) -> "GFV":
-        """Extend by ``k`` unconstrained trailing coordinates."""
-        return _as_gfv(self.vacuous_extend(k))
-
-    def permute(self, perm) -> "GFV":
-        return _as_gfv(super().permute(perm))
-
-
-def _as_gfv(g: GRFV) -> GFV:
-    return GFV(g.mu, g.H)
+    @classmethod
+    def _like(cls, mu, sigma, h) -> "GFV":
+        return GFV(mu, h)
 
 
 def _is_diagonal(a: np.ndarray) -> bool:
@@ -184,30 +180,32 @@ class GrfvFusion:
 
 def _log_height(h, s, x, y, name: str):
     """``log E[exp(-1/2 D^T h D)]`` for ``D ~ N(x - y, s)`` (``x`` may be a
-    batch of rows), with the ``M = I + h s`` it factors and the offset ``e``:
+    batch of rows), with the ``M^T = I + s h`` it factors (the transpose
+    of ``M = I + h s``) and the offset ``e``:
 
         -1/2 log|M| - 1/2 q,    q = d^T (h^-1 + s)^-1 d = (d h) M^-T d.
 
     ``M`` is nonsingular for PSD ``h``, ``s`` (``h s`` has eigenvalues >= 0).
     The offset is halved, ``e = x/2 - y/2``, exact and finite for finite
-    inputs, and ``q = 4 (e h) M^-T e``.  A non-finite ``M``, one with a zero
-    LU pivot (``1 + 1e160`` rounds away the 1) and a ``q`` (>= 0 in exact
+    inputs, and ``q = 4 (e h) M^-T e``.  ``log|M|`` and every solve factor
+    the same ``M^T``, so a zero LU pivot (``1 + 1e160`` rounds away the 1)
+    shows in ``slogdet``.  It, a non-finite ``M`` and a ``q`` (>= 0 in exact
     arithmetic) that overflows to NaN or ``-inf`` raise typed errors naming
     them; a ``q`` of inf is a height of 0.  The caller silences numpy's
     overflow warnings.
     """
-    m = as_matrix(np.eye(h.shape[0]) + h @ s, name)
-    sign, logdet = np.linalg.slogdet(m)
+    mt = as_matrix(np.eye(h.shape[0]) + s @ h, name)
+    sign, logdet = np.linalg.slogdet(mt)
     if sign == 0.0:
         raise DomainError(f"{name} is singular in floating point")
     e = 0.5 * x - 0.5 * y
     if e.ndim == 1:
-        q = (e @ h) @ np.linalg.solve(m.T, e)
+        q = (e @ h) @ np.linalg.solve(mt, e)
     else:
-        q = np.einsum("ij,ji->i", e @ h, np.linalg.solve(m.T, e.T))
+        q = np.einsum("ij,ji->i", e @ h, np.linalg.solve(mt, e.T))
     if not (q > -np.inf).all():  # NaN fails this test too
         raise DomainError(f"the quadratic form with {name} overflowed to NaN or -inf")
-    return -0.5 * logdet - 2.0 * q, m, e
+    return -0.5 * logdet - 2.0 * q, mt, e
 
 
 def combine(g1: GRFV, g2: GRFV) -> GrfvFusion:
@@ -262,11 +260,11 @@ def _fuse(g1: GRFV, g2: GRFV, weigh):
     s1, s2 = g1.Sigma, g2.Sigma
     # a mode law that overflows is rejected by GRFV, the conflict by _log_height
     with np.errstate(over="ignore", invalid="ignore"):
-        log1mk, m, e = _log_height(hbar, s1 + s2, g1.mu, g2.mu, "I + Hbar S")
+        log1mk, mt, e = _log_height(hbar, s1 + s2, g1.mu, g2.mu, "I + Hbar S")
         weight = weigh(log1mk)
 
         a1 = np.eye(g1.dim) - a2
-        k = np.linalg.solve(m.T, (a1 @ s1 - a2 @ s2).T).T  # K = C M^-1
+        k = np.linalg.solve(mt, (a1 @ s1 - a2 @ s2).T).T  # K = C M^-1
         cg = k @ hbar  # C G = K Hbar
         mu12 = a1 @ g1.mu + a2 @ g2.mu - 2.0 * (cg @ e)  # d = 2 e may overflow where C G ignores it
         a1 -= cg

@@ -8,6 +8,13 @@ conflicts are one minus average pair heights, and the combination rule's
 parameters are weighted moments of a soft-conditioned sample.  The closed
 forms themselves live with their model types.
 
+Every sampler realizes a core ``[lo, hi]`` per sample (a point for a
+random mode, an interval or ray for a crisp random set); its alpha-cut is
+the core widened by ``reach(alpha)`` on each side, and its membership is
+``falloff`` of the distance from the core.  A sampler writes ``realize``,
+and a fuzzy one also ``reach`` and ``falloff``; cuts and memberships are
+written once, in :class:`FuzzySampler`.
+
 Randomness contract
 -------------------
 Streams are counter-based (Philox), keyed by ``(seed, stream-tag,
@@ -153,30 +160,39 @@ def _gaussian_height(h: float, d: np.ndarray) -> np.ndarray:
 
 
 class FuzzySampler(ABC):
-    """One realized fuzzy number per sample, exposed through its alpha-cuts.
+    """One realized fuzzy number per sample, as a core, a reach and a falloff.
 
-    ``realize`` consumes the per-block stream and returns an opaque state;
-    ``cut_bounds`` maps (state, alpha array) to closed-interval endpoints
-    (``+-inf`` encode rays and the whole line), and ``membership``
-    evaluates the realized membership functions at a point.  Realized cuts
-    are nested in alpha by construction.
+    ``realize`` consumes the per-block stream and returns the cores
+    ``(lo, hi)``, ``+-inf`` encoding rays and the whole line.  The default
+    ``reach`` (0) and ``falloff`` (the indicator of ``dist == 0``) realize
+    crisp intervals; a fuzzy sampler writes both, so that the alpha-cut
+    ``[lo - reach, hi + reach]`` is where the membership is at least alpha.
     """
 
     @abstractmethod
-    def realize(self, rng: np.random.Generator, n: int):
+    def realize(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         ...
 
-    @abstractmethod
-    def n_realized(self, state) -> int:
-        ...
+    def reach(self, alphas: np.ndarray):
+        return 0.0
 
-    @abstractmethod
+    def falloff(self, dist: np.ndarray) -> np.ndarray:
+        return (dist == 0.0).astype(float)
+
     def cut_bounds(self, state, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ...
+        lo, hi = state
+        r = self.reach(alphas)
+        return lo - r, hi + r
 
-    @abstractmethod
     def membership(self, state, x: float) -> np.ndarray:
-        ...
+        lo, hi = state
+        return self.falloff(np.maximum(np.maximum(lo - x, x - hi), 0.0))
+
+
+def _gaussian_cores(rng, n: int, mu: float, sd: float):
+    """Point cores at Gaussian random modes ``N(mu, sd^2)``."""
+    modes = mu + sd * rng.standard_normal(n) if sd > 0.0 else np.full(n, mu)
+    return modes, modes
 
 
 class GrfnSampler(FuzzySampler):
@@ -186,25 +202,15 @@ class GrfnSampler(FuzzySampler):
         self.g = g
 
     def realize(self, rng, n):
-        if self.g.sigma2 > 0.0:
-            return self.g.mu + math.sqrt(self.g.sigma2) * rng.standard_normal(n)
-        return np.full(n, self.g.mu)
+        return _gaussian_cores(rng, n, self.g.mu, math.sqrt(self.g.sigma2))
 
-    def n_realized(self, state) -> int:
-        return state.shape[0]
+    def reach(self, alphas):
+        if self.g.h == 0.0:
+            return np.full_like(alphas, np.inf)
+        return np.sqrt(-2.0 * np.log(alphas) / self.g.h)  # 0 for h = inf
 
-    def cut_bounds(self, modes, alphas):
-        h = self.g.h
-        if h == 0.0:
-            full = np.full_like(modes, np.inf)
-            return -full, full
-        if math.isinf(h):
-            return modes, modes
-        r = np.sqrt(-2.0 * np.log(alphas) / h)
-        return modes - r, modes + r
-
-    def membership(self, modes, x):
-        return _gaussian_height(self.g.h, x - modes)
+    def falloff(self, dist):
+        return _gaussian_height(self.g.h, dist)
 
 
 class TriangularGaussianSampler(FuzzySampler):
@@ -216,38 +222,18 @@ class TriangularGaussianSampler(FuzzySampler):
         self.mu, self.sigma, self.a = float(mu), float(sigma), float(a)
 
     def realize(self, rng, n):
-        if self.sigma > 0.0:
-            return self.mu + self.sigma * rng.standard_normal(n)
-        return np.full(n, self.mu)
+        return _gaussian_cores(rng, n, self.mu, self.sigma)
 
-    def n_realized(self, state) -> int:
-        return state.shape[0]
+    def reach(self, alphas):
+        return self.a * (1.0 - alphas)
 
-    def cut_bounds(self, modes, alphas):
-        half = self.a * (1.0 - alphas)
-        return modes - half, modes + half
-
-    def membership(self, modes, x):
+    def falloff(self, dist):
         if self.a == 0.0:
-            return (modes == x).astype(float)
-        return np.clip(1.0 - np.abs(x - modes) / self.a, 0.0, None)
+            return super().falloff(dist)
+        return np.clip(1.0 - dist / self.a, 0.0, None)
 
 
-class _IntervalSampler(FuzzySampler):
-    """Random closed intervals seen as crisp random fuzzy numbers."""
-
-    def n_realized(self, state) -> int:
-        return state[0].shape[0]
-
-    def cut_bounds(self, state, alphas):
-        return state
-
-    def membership(self, state, x):
-        lo, hi = state
-        return ((lo <= x) & (x <= hi)).astype(float)
-
-
-class GaussianLowerRaySampler(_IntervalSampler):
+class GaussianLowerRaySampler(FuzzySampler):
     """Random ray ``[X, +inf)`` with Gaussian ``X``."""
 
     def __init__(self, mu: float, sigma: float):
@@ -258,7 +244,7 @@ class GaussianLowerRaySampler(_IntervalSampler):
         return x, np.full(n, np.inf)
 
 
-class GaussianUpperRaySampler(_IntervalSampler):
+class GaussianUpperRaySampler(FuzzySampler):
     """Random ray ``(-inf, X]`` with Gaussian ``X``."""
 
     def __init__(self, mu: float, sigma: float):
@@ -269,7 +255,7 @@ class GaussianUpperRaySampler(_IntervalSampler):
         return np.full(n, -np.inf), x
 
 
-class ConditionalGaussianIntervalSampler(_IntervalSampler):
+class ConditionalGaussianIntervalSampler(FuzzySampler):
     """``[X1, X2]`` under two independent Gaussians conditioned on ``X1 <= X2``.
 
     Realized by rejection: a block of proposal pairs keeps the ordered
@@ -296,9 +282,11 @@ class ConditionalGaussianIntervalSampler(_IntervalSampler):
                          lambda rng, n: [~self._propose(rng, n)[2]])[0]
 
 
-def _draw_alphas(rng: np.random.Generator, n: int) -> np.ndarray:
-    # uniform on (0, 1]: the cut at alpha = 0 is not a focal set
-    return 1.0 - rng.random(n)
+def _random_cuts(sampler: FuzzySampler, rng, n: int):
+    """One block of realized samples, each cut at an alpha uniform on (0, 1]
+    (the cut at alpha = 0 is not a focal set)."""
+    state = sampler.realize(rng, n)
+    return sampler.cut_bounds(state, 1.0 - rng.random(state[0].shape[0]))
 
 
 def mc_bel_pl(sampler: FuzzySampler, b: Interval, cfg: MCConfig) -> tuple[MCEstimate, MCEstimate]:
@@ -311,10 +299,7 @@ def mc_bel_pl(sampler: FuzzySampler, b: Interval, cfg: MCConfig) -> tuple[MCEsti
     """
 
     def block(rng, n):
-        state = sampler.realize(rng, n)
-        m = sampler.n_realized(state)
-        alphas = _draw_alphas(rng, m)
-        lo, hi = sampler.cut_bounds(state, alphas)
+        lo, hi = _random_cuts(sampler, rng, n)
         return [(lo >= b.lo) & (hi <= b.hi), (lo <= b.hi) & (hi >= b.lo)]
 
     return _mc_means(cfg, "bel-pl", block)
@@ -330,10 +315,7 @@ def mc_expectation_bounds(sampler: FuzzySampler, cfg: MCConfig) -> tuple[MCEstim
     """Lower/upper expectations: means of sampled alpha-cut endpoints."""
 
     def block(rng, n):
-        state = sampler.realize(rng, n)
-        m = sampler.n_realized(state)
-        alphas = _draw_alphas(rng, m)
-        lo, hi = sampler.cut_bounds(state, alphas)
+        lo, hi = _random_cuts(sampler, rng, n)
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise DomainError("a realized alpha-cut is unbounded; expectations undefined")
         return [lo, hi]
@@ -343,10 +325,9 @@ def mc_expectation_bounds(sampler: FuzzySampler, cfg: MCConfig) -> tuple[MCEstim
 
 def _pair_heights(s1, s2, st1, st2) -> np.ndarray:
     if isinstance(s1, GrfnSampler) and isinstance(s2, GrfnSampler):
-        return _gaussian_height(effective_pair_precision(s1.g.h, s2.g.h), st1 - st2)
-    if isinstance(s1, _IntervalSampler) and isinstance(s2, _IntervalSampler):
-        lo1, hi1 = st1
-        lo2, hi2 = st2
+        return _gaussian_height(effective_pair_precision(s1.g.h, s2.g.h), st1[0] - st2[0])
+    if type(s1).falloff is type(s2).falloff is FuzzySampler.falloff:  # two crisp samplers
+        (lo1, hi1), (lo2, hi2) = st1, st2
         return ((lo1 <= hi2) & (lo2 <= hi1)).astype(float)
     raise DomainError("no closed-form pair height for these samplers")
 
@@ -397,28 +378,18 @@ class SoftConditioningSample:
         se = math.sqrt(float(np.sum((w * (x - mean)) ** 2))) / sw
         return MCEstimate(mean, se, self.n)
 
-    def _weighted_var(self, x: np.ndarray) -> MCEstimate:
-        w = self.weights
-        sw = float(np.sum(w))
-        mean = float(np.sum(w * x)) / sw
-        z = (x - mean) ** 2
-        v = float(np.sum(w * z)) / sw
-        se = math.sqrt(float(np.sum((w * (z - v)) ** 2))) / sw
-        return MCEstimate(v, se, self.n)
-
     def estimates(self) -> dict[str, MCEstimate]:
         w = self.weights
-        sw = float(np.sum(w))
+        mu1, mu2 = self._weighted_mean(self.m1), self._weighted_mean(self.m2)
+        c1, c2 = self.m1 - mu1.value, self.m2 - mu2.value
         out = {
-            "mu1": self._weighted_mean(self.m1),
-            "mu2": self._weighted_mean(self.m2),
-            "var1": self._weighted_var(self.m1),
-            "var2": self._weighted_var(self.m2),
+            "mu1": mu1,
+            "mu2": mu2,
+            "var1": self._weighted_mean(c1 ** 2),
+            "var2": self._weighted_mean(c2 ** 2),
             "mean_weight": self.mean_weight(),
         }
-        c1 = self.m1 - out["mu1"].value
-        c2 = self.m2 - out["mu2"].value
-        cov = float(np.sum(w * c1 * c2)) / sw
+        cov = float(np.sum(w * c1 * c2)) / float(np.sum(w))
         denom = math.sqrt(out["var1"].value * out["var2"].value)
         rho = cov / denom if denom > 0.0 else 0.0
         ess = self.effective_sample_size

@@ -49,3 +49,9 @@ def test_api_and_boundaries_resolve(workload):
 def test_oracle_battery_resolves():
     # the mc-oracle checks take their references from randomset's closed forms
     assert importlib.import_module("wl_oracle").battery()
+
+
+def test_oracle_realize_timing_runs():
+    # mc-oracle's per-layer realize timing is perfbench's one direct call into a sampler
+    ns = importlib.import_module("wl_oracle").realize_ns_per_sample(reps=1)
+    assert 0.0 < ns < float("inf")

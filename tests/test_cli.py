@@ -638,6 +638,11 @@ _FAR_3D = [
       [-0.12092133033888357, -0.3352858631306368, 0.2596439395879352]]),
 ]
 _ZERO_3D = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+_ZERO_2D = [[0, 0], [0, 0]]
+
+
+def _grfv_rank_one_4e18(h):
+    return {"type": "grfv", "mu": [0, 0], "Sigma": [[4e18, 2e18], [2e18, 1e18]], "H": h}
 
 
 def _far_3d(i, kind):
@@ -673,11 +678,16 @@ def _far_3d(i, kind):
     ([{"type": "grfv", "mu": [0], "Sigma": [[1e20]], "H": [[1]]},
       {"type": "grfv", "mu": [1], "Sigma": [[0]], "H": [[1]]}], ["combine"], 0,
      'step 1: kappa=0.999999999859\n{"type": "grfv", "mu": [1.0], "Sigma": [[0.5]], "H": [[2.0]]}\n'),
+    # I + Hbar S and I + Sigma H: a zero pivot in the LU of M^T, not of M, leaked LinAlgError
+    ([_grfv_rank_one_4e18([[2, 1], [1, 2]]), {"type": "grfv", "mu": [0, 0], "Sigma": _ZERO_2D,
+                                              "H": [[2, 1], [1, 2]]}], ["combine"], 2, ""),
+    ([_grfv_rank_one_4e18([[1, 0.5], [0.5, 1]])], ["eval", "--at", "0,0"], 2, ""),
     *[([_far_3d(0, a), _far_3d(1, b)], [cmd], 2, "")
       for cmd in ("combine", "conflict") for a, b in (("grfv",) * 2, ("gfv",) * 2, ("grfv", "gfv"))],
 ], ids=["tiny-h", "huge-gfn", "pair-precision", "pair-precision-nan", "variance-product",
         "variance-times-precision", "variance-sum", "offset-and-h-sigma2",
         "subnormal-h", "belpl-offset-times-zero-weight", "expect-subnormal-h", "grfv-sigma-1e20",
+        "grfv-zero-pivot-combine", "grfv-zero-pivot-eval",
         *[f"{cmd}-3d-{kinds}" for cmd in ("combine", "conflict")
                          for kinds in ("grfv", "gfv", "mixed")]])
 def test_extreme_magnitudes_answer_or_fail_typed(docs, argv, code, stdout, tmp_path, capsys):

@@ -321,9 +321,18 @@ class TestCombine:
             with pytest.raises(DomainError, match=r"^I \+ Hbar S is singular in floating point$"):
                 combine(*pair)
         c = GRFV([0.0, 0.0], 1e160 * np.eye(2), [[1.0, 1.0], [1.0, 1.0]])
+        # a zero pivot in the LU of M^T though not in that of M: each call factors M^T only
+        s = [[4e18, 2e18], [2e18, 1e18]]
+        d = GRFV([0.0, 0.0], s, [[1.0, 0.5], [0.5, 1.0]])
         for x in (np.zeros(2), np.zeros((3, 2))):
-            with pytest.raises(DomainError, match=r"^I \+ Sigma H is singular in floating point$"):
-                c.contour(x)
+            for g in (c, d):
+                with pytest.raises(DomainError, match=r"^I \+ Sigma H is singular in floating point$"):
+                    g.contour(x)
+        e = GRFV([0.0, 0.0], s, [[2.0, 1.0], [1.0, 2.0]])
+        f = GRFV([0.0, 0.0], np.zeros((2, 2)), [[2.0, 1.0], [1.0, 2.0]])
+        for pair in ((e, f), (f, e)):
+            with pytest.raises(ErfsError, match=r"^I \+ Hbar S is singular in floating point$"):
+                combine(*pair)
 
     def test_one_sided_semidefinite_inputs_combine(self):
         rng = np.random.default_rng(61)

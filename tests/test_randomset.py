@@ -374,6 +374,51 @@ class TestCutNesting:
             assert np.all(lo1 <= lo2) and np.all(hi2 <= hi1)
 
 
+_CUT_SAMPLERS = {
+    "grfn": GrfnSampler(GRFN(0.3, 1.2, 0.8)),
+    "vacuous-grfn": GrfnSampler(vacuous()),
+    "probabilistic-grfn": GrfnSampler(GRFN(0.3, 1.2, math.inf)),
+    "triangular": TriangularGaussianSampler(0.2, 1.1, 1.5),
+    "triangular-a0": TriangularGaussianSampler(0.2, 1.1, 0.0),
+    "lower-ray": GaussianLowerRaySampler(0.1, 0.9),
+    "upper-ray": GaussianUpperRaySampler(-0.2, 1.3),
+    "conditioned-interval": dempster_gaussian_rays(0.0, 1.0, 1.0, 1.0, CFG)[1],
+}
+
+
+class TestCutsAreLevelSets:
+    """``reach`` and ``falloff`` agree: the alpha-cut is where the membership is >= alpha."""
+
+    @pytest.mark.parametrize("name", list(_CUT_SAMPLERS))
+    def test_membership_at_least_alpha_exactly_on_the_cut(self, name):
+        sampler = _CUT_SAMPLERS[name]
+        rng = np.random.default_rng(23)
+        state = sampler.realize(rng, 2000)
+        m = state[0].shape[0]
+        checked = 0
+        for x in rng.uniform(-6.0, 6.0, 40):
+            alphas = 1.0 - rng.random(m)
+            lo, hi = sampler.cut_bounds(state, alphas)
+            away = (np.abs(x - lo) > 1e-12) & (np.abs(x - hi) > 1e-12)
+            in_cut = (lo <= x) & (x <= hi)
+            member = sampler.membership(state, float(x)) >= alphas
+            assert np.array_equal(in_cut[away], member[away]), f"{name} at x={x}"
+            checked += int(np.count_nonzero(away))
+        assert checked > 0.99 * 40 * m
+
+    def test_a_sampler_writes_only_realize(self):
+        class UnitInterval(rs.FuzzySampler):
+            def realize(self, rng, n):
+                return np.zeros(n), np.ones(n)
+
+        s = UnitInterval()
+        cfg = MCConfig(seed=4, samples=1000)
+        assert [e.value for e in mc_bel_pl(s, Interval(-1.0, 0.5), cfg)] == [0.0, 1.0]
+        assert [mc_contour(s, x, cfg).value for x in (0.0, 0.5, 1.0, 1.5)] == [1.0, 1.0, 1.0, 0.0]
+        assert [e.value for e in mc_expectation_bounds(s, cfg)] == [0.0, 1.0]
+        assert mc_conflict(s, GaussianLowerRaySampler(5.0, 1e-3), cfg).value == 1.0
+
+
 class TestOracleSuite:
     def test_all_checks_pass_with_default_seed(self):
         checks = oracle_suite(MCConfig(seed=42, samples=100_000))
