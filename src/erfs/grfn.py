@@ -51,8 +51,6 @@ __all__ = [
 
 # 1 - kappa below this threshold counts as total conflict
 _CONFLICT_EPS = 1e-15
-# the smallest normal float: a product below it has lost precision
-_NORMAL_MIN = 2.0 ** -1022
 
 
 class GrfnKind(enum.Enum):
@@ -370,7 +368,13 @@ def vacuous() -> GRFN:
 
 
 class LemmaIntermediates(NamedTuple):
-    """Parameters of the mode pair's soft-conditioned joint Gaussian law."""
+    """The mode pair soft-conditioned on agreement: the Kalman update that
+    observes ``M1 - M2 = 0`` with noise variance ``1/hbar``.  For modes
+    ``N(m_i, v_i)``, ``n = 1/hbar + v1 + v2``, gains ``k_i = v_i / n`` and
+    shares ``q1 = (1/hbar + v2) / n``, ``q2 = (1/hbar + v1) / n``: ``mu1 =
+    q1 m1 + k1 m2`` (and the mirror), ``var_i = v_i q_i`` and ``rho =
+    sqrt(k1 / q2) sqrt(k2 / q1)``; ``1/hbar`` is 0 for two random variables.
+    """
 
     mu1: float
     mu2: float
@@ -387,49 +391,35 @@ class GrfnFusion:
     intermediates: LemmaIntermediates
 
 
-def _intermediates(g1: GRFN, g2: GRFN, hbar: float) -> LemmaIntermediates:
+def _pair_law(g1: GRFN, g2: GRFN, hbar: float) -> LemmaIntermediates:
+    """The Kalman update of :class:`LemmaIntermediates` for ``hbar > 0`` and
+    a pair that is not two points.  Every parameter is an input times a
+    share in [0, 1], so none overflows where the result is finite."""
     mu1, mu2, v1, v2 = g1.mu, g2.mu, g1.sigma2, g2.sigma2
-    if v1 == 0.0 and v2 == 0.0:
-        # both modes fixed: nothing to condition (and no inf * 0 below)
-        return LemmaIntermediates(mu1, mu2, 0.0, 0.0, 0.0, hbar)
-    law = _pair_law(mu1, mu2, v1, v2, hbar)
-    if math.isfinite(sum(law)) and (v1 * v2 >= _NORMAL_MIN or v1 == 0.0 or v2 == 0.0):
-        return LemmaIntermediates(*law, hbar)
-    # v1 v2, v1 + v2 or mu (1 + hbar v) left the float range: the law is
-    # homogeneous of degree 1 in the modes and in the variances against
-    # 1 / hbar, so rerun it on exact power-of-two rescalings, the modes over
-    # cm (about the larger |mu|) and the variances over cv (their geometric mean)
-    frexp = math.frexp
-    cm = math.ldexp(1.0, min(max(frexp(mu1)[1], frexp(mu2)[1]), 1023))
-    cv = math.ldexp(1.0, min((frexp(v1)[1] + frexp(v2)[1]) // 2, 1023))
-    m1, m2, w1, w2, rho = _pair_law(mu1 / cm, mu2 / cm, v1 / cv, v2 / cv, hbar * cv)
-    return LemmaIntermediates(m1 * cm, m2 * cm, w1 * cv, w2 * cv, rho, hbar)
-
-
-def _pair_law(mu1: float, mu2: float, v1: float, v2: float, hbar: float) -> tuple:
-    """Means, variances and correlation of the soft-conditioned mode pair."""
-    s = v1 + v2
-    if math.isinf(hbar):
-        # both operands probabilistic: conditioning on exact mode agreement
-        m = (mu1 * v2 + mu2 * v1) / s
-        v = v1 * v2 / s
-        return m, m, v, v, 1.0 if (v1 > 0.0 and v2 > 0.0) else 0.0
-    denom = 1.0 + hbar * s
-    mu1t = (mu1 * (1.0 + hbar * v2) + mu2 * hbar * v1) / denom
-    mu2t = (mu2 * (1.0 + hbar * v1) + mu1 * hbar * v2) / denom
-    v1t = v1 * (1.0 + hbar * v2) / denom
-    v2t = v2 * (1.0 + hbar * v1) / denom
-    if v1 > 0.0 and v2 > 0.0:
-        rho = hbar * math.sqrt(v1 * v2) / math.sqrt((1.0 + hbar * v1) * (1.0 + hbar * v2))
-    else:
-        rho = 0.0
-    return mu1t, mu2t, v1t, v2t, rho
+    # the noise and the mode variances, times 2^-64 where 1/hbar overflows
+    c = 2.0 ** -64 if hbar < 2.0 ** -960 else 1.0
+    r, a1, a2 = c / hbar, c * v1, c * v2
+    if r + a1 + a2 == math.inf:
+        c, r, a1, a2 = 0.25 * c, 0.25 * r, 0.25 * a1, 0.25 * a2
+    n = r + a1 + a2
+    b1, b2 = r + a2, r + a1
+    k1, k2, q1, q2 = a1 / n, a2 / n, b1 / n, b2 / n
+    # k1 / q2 = a1 / b2, free of n
+    rho = math.sqrt(a1 / b2) * math.sqrt(a2 / b1) if v1 > 0.0 and v2 > 0.0 else 0.0
+    # v_i q_i = (b_i / c) k_i: the smaller factor times the larger share (>= 1/2, no underflow)
+    var1, var2 = min(v1, b1 / c) * max(q1, k1), min(v2, b2 / c) * max(q2, k2)
+    return LemmaIntermediates(q1 * mu1 + k1 * mu2, q2 * mu2 + k2 * mu1, var1, var2, rho, hbar)
 
 
 def _share(a: float, b: float) -> float:
-    """``a / (a + b)`` for finite positive ``a``, ``b``; halved (exactly) if ``a + b`` overflows."""
+    """``a / (a + b)`` for positive ``a``, ``b``: 1 and 0 against an infinite
+    precision, 1/2 for two; halved (exactly) if a finite ``a + b`` overflows."""
     t = a + b
-    return a / t if t < math.inf else (0.5 * a) / (0.5 * a + 0.5 * b)
+    if t < math.inf:
+        return a / t
+    if math.isinf(a) or math.isinf(b):
+        return 0.5 if a == b else float(a > b)
+    return (0.5 * a) / (0.5 * a + 0.5 * b)
 
 
 def effective_pair_precision(h1: float, h2: float) -> float:
@@ -509,64 +499,52 @@ def conflict_degree(log1mk: float) -> float:
 def combine(g1: GRFN, g2: GRFN) -> GrfnFusion:
     """Generalized product-intersection combination of two independent GRFNs.
 
-    The combined number has precision ``h1 + h2``; its mode law is the
-    precision-weighted mixture of the soft-conditioned pair law (see
-    :class:`LemmaIntermediates`).  A vacuous operand is exactly neutral with
-    zero conflict.  When both operands are random variables (``h = +inf``)
-    the interpretations agree only on a null set, so the reported conflict
-    is 1 while the combination itself is the well-defined conditional
-    limit: the precision-weighted Gaussian.
+    The combined number has precision ``h1 + h2``; its mode is the
+    ``h``-weighted mix of the mode pair after a Kalman update on agreement
+    (see :class:`LemmaIntermediates`).  A vacuous operand is exactly neutral
+    with zero conflict.  When both operands are random variables (``h =
+    +inf``) the interpretations agree only on a null set, so the reported
+    conflict is 1 while the combination itself is the well-defined
+    conditional limit: the precision-weighted Gaussian.
 
     Raises :class:`ContradictoryEvidence` when the evidence is totally
     conflicting (1 - kappa below 1e-15) outside that structural case.
     """
-    if math.isinf(g1.h) and math.isinf(g2.h) and g1.sigma2 + g2.sigma2 > 0.0:
-        inter = _intermediates(g1, g2, math.inf)
-        return GrfnFusion(GRFN(inter.mu1, inter.var1, math.inf), 1.0, inter)
-    (mu, sigma2, h), kappa, inter = _fuse(g1, g2, conflict_degree)
+    random_pair = math.isinf(g1.h) and math.isinf(g2.h) and g1.sigma2 + g2.sigma2 > 0.0
+    weigh = (lambda _: 1.0) if random_pair else conflict_degree
+    (mu, sigma2, h), kappa, inter = _fuse(g1, g2, weigh)
     return GrfnFusion(GRFN(mu, sigma2, h), kappa, inter)
 
 
 def _fuse(g1: GRFN, g2: GRFN, weigh):
     """The product-intersection case analysis of :func:`combine` and of
-    :func:`erfs.fuzzy.product` (two GFNs), for any pair but two random
-    variables with a varying mode, which only :func:`combine` meets.
+    :func:`erfs.fuzzy.product` (two GFNs).
 
     Returns the combined ``(mu, sigma2, h)``, ``weigh(log(1 - kappa))`` and
     the intermediates.  ``weigh`` is the caller's conflict policy; it runs
     before the combined parameters are formed, so it may reject the pair.
     A vacuous operand is neutral and two equal points agree, both with
-    ``log(1 - kappa) = 0``; two distinct points contradict.
+    ``log(1 - kappa) = 0``; two distinct points contradict.  Any other pair
+    is the ``h_i / (h1 + h2)`` mix of :func:`_pair_law`, whose weights are
+    1 and 0 against one infinite precision and 1/2 for two.
     """
-    if g1.is_vacuous or g2.is_vacuous:
-        kept = g2 if g1.is_vacuous else g1
-        return (kept.mu, kept.sigma2, kept.h), weigh(0.0), _intermediates(g1, g2, 0.0)
-
-    h1, h2 = g1.h, g2.h
-    inter = _intermediates(g1, g2, effective_pair_precision(h1, h2))
-    if math.isinf(h1) and math.isinf(h2):
-        if g1.mu != g2.mu:
+    hbar = effective_pair_precision(g1.h, g2.h)
+    if hbar == 0.0 or math.isinf(hbar) and g1.sigma2 == g2.sigma2 == 0.0:
+        if hbar > 0.0 and g1.mu != g2.mu:
             raise ContradictoryEvidence("two distinct deterministic points cannot be combined")
-        return (g1.mu, 0.0, math.inf), weigh(0.0), inter
+        kept = g2 if g1.is_vacuous else g1
+        inter = LemmaIntermediates(g1.mu, g2.mu, g1.sigma2, g2.sigma2, 0.0, hbar)
+        return (kept.mu, kept.sigma2, kept.h), weigh(0.0), inter
 
     weight = weigh(log_one_minus_kappa(g1, g2))
-    if math.isinf(h1):
-        return (inter.mu1, inter.var1, math.inf), weight, inter
-    if math.isinf(h2):
-        return (inter.mu2, inter.var2, math.inf), weight, inter
-    # the weights h_i / (h1 + h2): no h_i^2 or (h1 + h2)^2 to overflow or underflow
+    inter = _pair_law(g1, g2, hbar)
+    h1, h2 = g1.h, g2.h
     w1, w2 = _share(h1, h2), _share(h2, h1)
     mu12 = w1 * inter.mu1 + w2 * inter.mu2
-    sd1, sd2 = math.sqrt(inter.var1), math.sqrt(inter.var2)
-    var12 = _square_times(w1, inter.var1) + _square_times(w2, inter.var2) \
-        + 2.0 * inter.rho * w1 * w2 * sd1 * sd2
+    # w (w var): no h_i^2 to overflow, no w^2 to underflow
+    var12 = w1 * (w1 * inter.var1) + w2 * (w2 * inter.var2) \
+        + 2.0 * inter.rho * w1 * w2 * math.sqrt(inter.var1) * math.sqrt(inter.var2)
     return (mu12, var12, h1 + h2), weight, inter
-
-
-def _square_times(w: float, v: float) -> float:
-    """``w^2 v`` for a weight ``0 <= w <= 1``; ``w (w v)`` where ``w^2`` is subnormal."""
-    ww = w * w
-    return ww * v if ww >= _NORMAL_MIN else w * (w * v)
 
 
 def combine_many(gs) -> GRFN:

@@ -324,6 +324,9 @@ def mc_expectation_bounds(sampler: FuzzySampler, cfg: MCConfig) -> tuple[MCEstim
 
 
 def _pair_heights(s1, s2, st1, st2) -> np.ndarray:
+    # a rejection sampler keeps a random number of iid samples: pair the first m of each
+    m = min(st1[0].shape[0], st2[0].shape[0])
+    st1, st2 = [a[:m] for a in st1], [a[:m] for a in st2]
     if isinstance(s1, GrfnSampler) and isinstance(s2, GrfnSampler):
         return _gaussian_height(effective_pair_precision(s1.g.h, s2.g.h), st1[0] - st2[0])
     if type(s1).falloff is type(s2).falloff is FuzzySampler.falloff:  # two crisp samplers

@@ -307,6 +307,42 @@ class TestValidation:
         assert main(["eval", doc, "--at", "0"]) == 2
         assert "'mu'" in capsys.readouterr().err
 
+    _GRFN = ["--type", "grfn", "--mu", "0", "--sigma2", "1", "--h", "1"]
+
+    @pytest.mark.parametrize("argv, seed, message", [
+        (["eval", "{list}", "--at", "0"], None, "document must be a JSON object"),
+        (["eval", "{untyped}", "--at", "0"], None, "missing field 'type'"),
+        (["eval", "{missing}", "--at", "0"], None, "cannot read document '"),
+        (["mc-check", "--samples", "1000"], "abc", "ERFS_SEED must be an integer, got 'abc'"),
+        (["eval", *_GRFN, "--at", "0", "--grid", "0:1:0.5"], None, "give either --at or --grid, not both"),
+        (["eval", *_GRFN], None, "missing query points: use --at or --grid"),
+        (["eval", "{grfv}", "--at", "1,a"], None, "point '1,a' is not a comma-separated vector"),
+        (["eval", "{grfv}", "--at", "1,2,3"], None, "point '1,2,3' has dim 3, document has dim 2"),
+        (["combine", "{grfn}"], None, "combine needs at least two documents"),
+        (["cdf", *_GRFN], None, "missing query point: use --at or --grid"),
+        (["plotdata", *_GRFN], None, "missing --grid for plotdata"),
+        (["expect"], None, "missing evidence document (file argument or --type ...)"),
+    ], ids=["not-an-object", "no-type", "unreadable-path", "env-seed", "at-and-grid", "no-points",
+            "vector-point-not-numeric", "vector-point-dim", "combine-one-document", "cdf-no-point",
+            "plotdata-no-grid", "no-document"])
+    def test_argument_errors_exit_two_with_one_line(self, argv, seed, message, tmp_path,
+                                                    capsys, monkeypatch):
+        paths = {
+            "list": write_doc(tmp_path, "list.json", [1, 2]),
+            "untyped": write_doc(tmp_path, "untyped.json", {"mu": 0.0}),
+            "missing": str(tmp_path / "missing.json"),
+            "grfv": write_doc(tmp_path, "grfv.json", {"type": "grfv", "mu": [0, 1],
+                                                      "Sigma": [[1, 0], [0, 1]], "H": [[1, 0], [0, 1]]}),
+            "grfn": write_doc(tmp_path, "grfn.json", {"type": "grfn", "mu": 0, "sigma2": 1, "h": 1}),
+        }
+        if seed is None:
+            monkeypatch.delenv("ERFS_SEED", raising=False)
+        else:
+            monkeypatch.setenv("ERFS_SEED", seed)
+        code, out, err = _run([a.format(**paths) for a in argv], capsys)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+
 
 def _strict_json(text):
     def reject(constant):

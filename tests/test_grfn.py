@@ -1,8 +1,10 @@
 """Tests for Gaussian random fuzzy numbers: closed forms vs independent oracles."""
 
+import itertools
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -297,9 +299,11 @@ class TestCombine:
         r = product(GFN(0.0, 0.3), GFN(1.0, 0.5))
         assert f.kappa == pytest.approx(1.0 - r.height, abs=1e-14)
 
-    def test_one_probabilistic_operand(self):
+    @pytest.mark.parametrize("first", [True, False], ids=["random-first", "random-second"])
+    def test_one_probabilistic_operand(self, first):
         # a random variable absorbs finite-precision evidence into a new Gaussian
-        f = combine(GRFN(1.0, 2.0, math.inf), GRFN(0.0, 1.0, 3.0))
+        g, e = GRFN(1.0, 2.0, math.inf), GRFN(0.0, 1.0, 3.0)
+        f = combine(g, e) if first else combine(e, g)
         denom = 1.0 + 3.0 * (2.0 + 1.0)
         assert f.combined.h == math.inf
         assert f.combined.mu == pytest.approx((1.0 * (1.0 + 3.0) + 0.0) / denom, abs=1e-14)
@@ -311,6 +315,26 @@ class TestCombine:
         assert f.combined.sigma2 == pytest.approx(4.0 / 5.0, abs=1e-14)
         assert f.combined.h == math.inf
         assert f.kappa == 1.0
+
+    @pytest.mark.parametrize("g1, g2", [
+        # a mode times the other's variance overflows; the fused variance is subnormal
+        (GRFN(1e16, 1.7e308, math.inf), GRFN(1e16, 5e-324, math.inf)),
+        (GRFN(-1.7e308, 1e300, math.inf), GRFN(-1.7e308, 5e-324, math.inf)),
+        # the share v1 / (v1 + v2) underflows, its product with v2 does not
+        (GRFN(0.0, 1e-300, math.inf), GRFN(0.0, 1.7e308, math.inf)),
+        # v1 + v2 overflows
+        (GRFN(0.0, 1.7e308, math.inf), GRFN(1.0, 1.7e308, math.inf)),
+    ], ids=["mode-times-variance", "mode-near-the-float-limit", "share-underflows", "variance-sum"])
+    def test_two_random_variables_at_extreme_variances(self, g1, g2):
+        with mpmath.workdps(50):
+            (m1, v1), (m2, v2) = ((mpmath.mpf(g.mu), mpmath.mpf(g.sigma2)) for g in (g1, g2))
+            mu, sigma2 = float((m1 * v2 + m2 * v1) / (v1 + v2)), float(v1 * v2 / (v1 + v2))
+        for a, b in ((g1, g2), (g2, g1)):
+            f = combine(a, b)
+            assert f.kappa == 1.0 and f.combined.h == math.inf
+            assert f.combined.mu == pytest.approx(mu, rel=1e-15)
+            # 5e-324 in the first case is subnormal: an absolute floor of the smallest normal float
+            assert f.combined.sigma2 == pytest.approx(sigma2, rel=1e-15, abs=2.0 ** -1022)
 
     def test_identical_points_agree(self):
         f = combine(GRFN(2.0, 0.0, math.inf), GRFN(2.0, 0.0, math.inf))
@@ -390,9 +414,14 @@ class TestExtremePrecisions:
         (GRFN(1e-160, 1e-170, 2e170), GRFN(1.2e-160, 3e-170, 1e170)),
         # the squared weight w2^2 = 1e-340 underflows: sigma2 was 1e-300, not 1e-180
         (GRFN(0.0, 1e-300, 1e10), GRFN(0.0, 1e170, 1e-160)),
+        # hbar is subnormal: 1/hbar overflows, and so would hbar/2
+        (GRFN(0.0, 1e300, 1.0), GRFN(1e16, 1e-8, 5e-324)),
+        # 1/hbar + sigma1^2 + sigma2^2 overflows though 1/hbar does not; kappa is 1 - 1e-14
+        (GRFN(0.0, 1e308, 1e-280), GRFN(1e8, 1e308, 1e-280)),
     ], ids=["tiny", "gfn-huge", "product-overflows", "far-apart", "variance-product",
             "variance-times-precision", "variance-sum", "mode-times-precision",
-            "variance-product-underflows", "weight-square-underflows"])
+            "variance-product-underflows", "weight-square-underflows", "subnormal-pair-precision",
+            "innovation-variance-overflows"])
     def test_fusion_matches_the_kalman_update(self, g1, g2):
         f = combine(g1, g2)
         mu, sigma2, h, log1mk = (float(v) for v in grfn_fusion_by_kalman_update(g1, g2))
@@ -424,6 +453,31 @@ class TestExtremePrecisions:
                 ref = pair_precision_mp(h1, h2)
                 assert 0.0 < got < math.inf and got == effective_pair_precision(h2, h1)
                 assert abs(got - ref) <= 2 * math.ulp(float(ref)), (h1, h2)
+
+
+class TestFusionLattice:
+    """Every pair of a fixed magnitude lattice against the 50-digit Kalman update."""
+
+    MUS = (-1e8, 0.0, 1e16)
+    SIGMA2S = (0.0, 5e-324, 1e-300, 1e-8, 1.0, 1e300, 1.7e308)
+    HS = (5e-324, 1e-300, 1.0, 1e160, 1.7e308)
+
+    def test_every_pair_matches_the_kalman_update(self):
+        gs = [GRFN(m, s, h) for m in self.MUS for s in self.SIGMA2S for h in self.HS]
+        accepted = 0
+        for g1, g2 in itertools.product(gs, gs):
+            mu, sigma2, h, log1mk = (float(v) for v in grfn_fusion_by_kalman_update(g1, g2))
+            try:
+                f = combine(g1, g2)
+            except ContradictoryEvidence:
+                assert log1mk < math.log(1e-15) + 1e-12, (g1, g2)
+                continue
+            accepted += 1
+            assert abs(f.combined.mu - mu) <= 1e-12 * max(abs(g1.mu), abs(g2.mu)), (g1, g2)
+            assert abs(f.combined.sigma2 - sigma2) <= 1e-12 * sigma2, (g1, g2)
+            assert f.combined.h == pytest.approx(h, rel=1e-15)
+            assert abs(f.kappa + math.expm1(log1mk)) <= 1e-12, (g1, g2)
+        assert accepted == 7539
 
 
 class TestConflictDegree:

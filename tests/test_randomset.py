@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
+from scipy.special import ndtr
 
 import erfs.randomset as rs
 from erfs.errors import DomainError, PracticalRejection
@@ -261,6 +263,32 @@ class TestConflict:
     def test_custom_height_required_for_mixed(self):
         with pytest.raises(DomainError):
             mc_conflict(GrfnSampler(GRFN(0, 1, 1)), GaussianLowerRaySampler(0.0, 1.0), CFG)
+
+    @pytest.mark.parametrize("other", ["ray", "itself"])
+    def test_rejection_sampler_pairs_its_kept_samples(self, other):
+        # [X1, X2], X1 ~ N(0, 1) and X2 ~ N(1, 1) given X1 <= X2, keeps a random
+        # number of proposals per block, so its block differs in length from the other's
+        _, cond = dempster_gaussian_rays(0.0, 1.0, 1.0, 1.0, CFG)
+
+        def pdf(x, mu=0.0):
+            return math.exp(-0.5 * (x - mu) ** 2) / math.sqrt(2.0 * math.pi)
+
+        p = ndtr(1.0 / math.sqrt(2.0))
+        if other == "ray":
+            # the ray [Y, inf), Y ~ N(0.1, 0.9), misses [X1, X2] when X2 < Y
+            s2 = GaussianLowerRaySampler(0.1, 0.9)
+            exact = quad(lambda x: pdf(x, 1.0) * ndtr(x) * ndtr((0.1 - x) / 0.9), -np.inf, np.inf)[0] / p
+        else:
+            # two independent copies miss each other when one's upper end lies below the
+            # other's lower end: 2 P(A2 < B1), A2 and B1 the conditioned X2 and X1
+            def below(y):  # p P(A2 <= y)
+                return quad(lambda x: pdf(x, 1.0) * ndtr(x), -np.inf, y)[0]
+            s2 = cond
+            exact = 2.0 * quad(lambda y: pdf(y) * ndtr(1.0 - y) * below(y), -np.inf, np.inf)[0] / (p * p)
+        ests = [mc_conflict(cond, s2, MCConfig(seed=1, samples=60_000, workers=w)) for w in (1, 2)]
+        assert ests[0] == ests[1]
+        assert 40_000 < ests[0].n < 60_000
+        assert ests[0].within(exact)
 
 
 class TestSoftConditioning:
