@@ -19,7 +19,9 @@ must be finite, and a grid has at most ``MAX_GRID_POINTS`` (10^6) points.
 
 Imports follow the query.  A GFN, GRFN or triangular document answered
 without an array (``cdf --at``, ``belpl``, ``combine``, ``conflict``,
-``expect``, ``eval``) runs on ``math`` alone and loads no numpy.  numpy is
+``expect``, ``eval``) runs on ``math`` alone and loads neither numpy nor
+``dataclasses`` (the scalar value types are slotted classes on
+``erfs._value.Value``).  numpy is
 loaded by the array queries (``cdf --grid``, ``plotdata``), by vector
 documents (``gfv``, ``grfv``) and by ``mc-check``.  No call loads scipy:
 the normal cdf is ``math.erfc``, on an array too.

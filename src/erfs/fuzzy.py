@@ -27,9 +27,9 @@ when a ``GFV`` is asked for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import grfn
+from ._value import Value
 from .errors import DomainError
 from .grfn import GFN
 from .interval import Interval
@@ -44,12 +44,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ProductResult:
+class ProductResult(Value):
     """Normalized product intersection plus the height of the raw product."""
 
-    product: "GFN | GFV"
-    height: float
+    __slots__ = ("product", "height")
+
+    def __init__(self, product: "GFN | GFV", height: float):
+        object.__setattr__(self, "product", product)
+        object.__setattr__(self, "height", height)
 
 
 def product(g1, g2) -> ProductResult:

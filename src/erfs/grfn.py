@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from ._normal import (Phi, as_output, at_least, constant, elementwise, exp, log_indicator, maximum,
                       minimum, phi, phi_over, where_nan)
+from ._value import Value
 from .errors import ContradictoryEvidence, DomainError
 from .interval import Interval
 
@@ -60,20 +60,17 @@ class GrfnKind(enum.Enum):
     GENERAL = "general"
 
 
-@dataclass(frozen=True)
-class GRFN:
-    mu: float
-    sigma2: float
-    h: float
+class GRFN(Value):
+    __slots__ = ("mu", "sigma2", "h")
 
     # the document's fields, the last one the precision; the names of mu and h
     # in error messages
     _FIELDS = ("mu", "sigma2", "h")
     _NAMES = ("mu", "h")
 
-    def __post_init__(self):
+    def __init__(self, mu: float, sigma2: float, h: float):
         mu_name, h_name = self._NAMES
-        mu, s2, h = float(self.mu), float(self.sigma2), float(self.h)
+        mu, s2, h = float(mu), float(sigma2), float(h)
         if not math.isfinite(mu):
             raise DomainError(f"{mu_name} must be finite")
         if not math.isfinite(s2) or s2 < 0.0:
@@ -219,10 +216,11 @@ class GFN(GRFN):
     0), ``h = +inf`` the crisp point ``{m}``.
     """
 
+    __slots__ = ()
     _FIELDS = ("mode", "precision")
     _NAMES = ("GFN mode", "GFN precision")
 
-    def __init__(self, mode, precision):
+    def __init__(self, mode: float, precision: float):
         super().__init__(mode, 0.0, precision)
 
     mode = property(lambda self: self.mu)
@@ -286,8 +284,7 @@ def _require_extended(d: dict, field: str) -> float:
     return float(v)
 
 
-@dataclass(frozen=True)
-class TriangularGaussian:
+class TriangularGaussian(Value):
     """Triangular fuzzy number of half-width ``a`` whose mode is ``N(mu, sigma^2)``.
 
     The closed forms integrate over the Gaussian mode; ``a = 0`` is the
@@ -295,12 +292,10 @@ class TriangularGaussian:
     ``0 < sigma < inf`` and ``0 <= a < inf``.
     """
 
-    mu: float
-    sigma: float
-    a: float
+    __slots__ = ("mu", "sigma", "a")
 
-    def __post_init__(self):
-        mu, sigma, a = float(self.mu), float(self.sigma), float(self.a)
+    def __init__(self, mu: float, sigma: float, a: float):
+        mu, sigma, a = float(mu), float(sigma), float(a)
         if not math.isfinite(mu):
             raise DomainError("mu must be finite")
         if not sigma > 0.0:
@@ -367,7 +362,7 @@ def vacuous() -> GRFN:
     return GRFN(0.0, 1.0, 0.0)
 
 
-class LemmaIntermediates(NamedTuple):
+class LemmaIntermediates(namedtuple("LemmaIntermediates", "mu1 mu2 var1 var2 rho hbar")):
     """The mode pair soft-conditioned on agreement: the Kalman update that
     observes ``M1 - M2 = 0`` with noise variance ``1/hbar``.  For modes
     ``N(m_i, v_i)``, ``n = 1/hbar + v1 + v2``, gains ``k_i = v_i / n`` and
@@ -376,19 +371,16 @@ class LemmaIntermediates(NamedTuple):
     sqrt(k1 / q2) sqrt(k2 / q1)``; ``1/hbar`` is 0 for two random variables.
     """
 
-    mu1: float
-    mu2: float
-    var1: float
-    var2: float
-    rho: float
-    hbar: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GrfnFusion:
-    combined: GRFN
-    kappa: float
-    intermediates: LemmaIntermediates
+class GrfnFusion(Value):
+    __slots__ = ("combined", "kappa", "intermediates")
+
+    def __init__(self, combined: GRFN, kappa: float, intermediates: LemmaIntermediates):
+        object.__setattr__(self, "combined", combined)
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "intermediates", intermediates)
 
 
 def _pair_law(g1: GRFN, g2: GRFN, hbar: float) -> LemmaIntermediates:
@@ -460,7 +452,10 @@ def _log_height(h: float, s: float, d):
     else:
         r = 1.0 / h + s
         hc = 1.0 / r if r < math.inf else h / (1.0 + h * s)
-    return -0.5 * math.log1p(h * s) - 0.5 * (hc * d * d)
+    hs = h * s
+    # log(1 + h s) is log h + log s, to rounding, where h s overflows
+    lead = math.log1p(hs) if hs < math.inf else math.log(h) + math.log(s)
+    return -0.5 * lead - 0.5 * (hc * d * d)
 
 
 def log_one_minus_kappa(g1: GRFN, g2: GRFN) -> float:

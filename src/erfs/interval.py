@@ -8,18 +8,16 @@ queries the belief/plausibility closed forms take (``(-inf, y]`` for cdfs,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._value import Value
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class Interval:
-    lo: float
-    hi: float
+class Interval(Value):
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        lo, hi = float(self.lo), float(self.hi)
+    def __init__(self, lo: float, hi: float):
+        lo, hi = float(lo), float(hi)
         if math.isnan(lo) or math.isnan(hi):
             raise DomainError("interval endpoints must not be NaN")
         if lo > hi:

@@ -232,11 +232,13 @@ def grfn_fusion_by_kalman_update(g1, g2, dps=50):
         n = v1 + v2 + r
         d = mu1 - mu2
         m1, m2 = mu1 - v1 * d / n, mu2 + v2 * d / n
-        c11, c22, c12 = v1 - v1 * v1 / n, v2 - v2 * v2 / n, v1 * v2 / n
+        # v_i (r + v_j) / n, not v_i - v_i^2 / n, which cancels where (r + v_j) / n is tiny
+        c11, c22, c12 = v1 * (r + v2) / n, v2 * (r + v1) / n, v1 * v2 / n
         w1, w2 = h1 / (h1 + h2), h2 / (h1 + h2)
         mu = w1 * m1 + w2 * m2
         var = w1 * w1 * c11 + w2 * w2 * c22 + 2 * w1 * w2 * c12
-        return mu, var, h1 + h2, mpmath.log(r / n) / 2 - d * d / (2 * n)
+        # log(r / n) as -log1p((v1 + v2) / r): r / n rounds to 1 where (v1 + v2) / r < 1e-50
+        return mu, var, h1 + h2, -mpmath.log1p((v1 + v2) / r) / 2 - d * d / (2 * n)
 
 
 def grfv_fusion_by_kalman_update(g1, g2, dps=50):
@@ -265,7 +267,7 @@ def grfv_fusion_by_kalman_update(g1, g2, dps=50):
         ninv = mpmath.inverse(n)
         d = mu1 - mu2
         m1, m2 = mu1 - s1 * ninv * d, mu2 + s2 * ninv * d
-        c11, c22, c12 = s1 - s1 * ninv * s1, s2 - s2 * ninv * s2, s1 * ninv * s2
+        c11, c22, c12 = s1 * ninv * (s2 + r), s2 * ninv * (s1 + r), s1 * ninv * s2
         hsum_inv = mpmath.inverse(h1 + h2)
         a1, a2 = hsum_inv * h1, hsum_inv * h2
         mu = a1 * m1 + a2 * m2

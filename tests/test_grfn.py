@@ -3,6 +3,7 @@
 import itertools
 import math
 import warnings
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -32,6 +33,7 @@ from oracles import (
     contour_by_mode_integration,
     cut_halfwidth_by_integration,
     grfn_fusion_by_kalman_update,
+    grfv_fusion_by_kalman_update,
     grfn_kappa_by_verbatim_formula,
     pair_precision_mp,
     random_grfn_params,
@@ -429,8 +431,8 @@ class TestExtremePrecisions:
         assert f.combined.mu == pytest.approx(mu, rel=1e-12, abs=1e-300)
         assert f.combined.sigma2 == pytest.approx(sigma2, rel=1e-12, abs=1e-300)
         assert f.combined.h == pytest.approx(h, rel=1e-15)
-        assert log_one_minus_kappa(g1, g2) == pytest.approx(log1mk, rel=1e-12)
-        assert f.kappa == pytest.approx(-math.expm1(log1mk), rel=1e-12)
+        assert log_one_minus_kappa(g1, g2) == pytest.approx(log1mk, rel=1e-12, abs=0.0)
+        assert f.kappa == pytest.approx(-math.expm1(log1mk), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("g1, g2", [
         # h sigma2 = 1e310 and the modes are 1e200 apart: -inf, not inf / inf
@@ -441,6 +443,33 @@ class TestExtremePrecisions:
     def test_total_conflict_where_intermediates_overflow(self, g1, g2):
         with pytest.raises(ContradictoryEvidence, match="rounds to 1"):
             combine(g1, g2)
+
+    # h sigma2 overflows in the first; the pair is rejected, 1 - kappa is 8.3e-309
+    OVERFLOWING_PAIR = (GRFN(0.0, 1.7e308, 1.7e308), GRFN(0.0, 1e-300, 1.7e308))
+
+    def test_log_one_minus_kappa_where_precision_times_variance_overflows(self):
+        g1, g2 = self.OVERFLOWING_PAIR
+        log1mk = float(grfn_fusion_by_kalman_update(g1, g2)[3])
+        assert log1mk == pytest.approx(-709.3802633, rel=1e-9)
+        assert log_one_minus_kappa(g1, g2) == pytest.approx(log1mk, rel=1e-12)
+        with pytest.raises(ContradictoryEvidence, match=r"-709"):
+            combine(g1, g2)
+        # the height at the mode, (1 + h sigma2)^(-1/2), is subnormal, not 0
+        assert g1.contour(0.0) == pytest.approx(1.0 / 1.7e308, rel=1e-12, abs=0.0)
+
+    def test_the_oracles_are_exact_where_the_library_rejects(self):
+        # v1 - v1^2 / n cancels at 50 digits (7.5e-301); at w1 = w2 = 1/2 the
+        # variance is (r (v1 + v2) + 4 v1 v2) / (4 n), a sum of positive terms
+        g1, g2 = self.OVERFLOWING_PAIR
+        with mpmath.workdps(50):
+            v1, v2, r = mpmath.mpf(g1.sigma2), mpmath.mpf(g2.sigma2), 2 / mpmath.mpf(g1.h)
+            exact = float((r * (v1 + v2) + 4 * v1 * v2) / (4 * (v1 + v2 + r)))
+        assert exact == pytest.approx(1e-300, rel=1e-8, abs=0.0)
+        sigma2 = float(grfn_fusion_by_kalman_update(g1, g2)[1])
+        assert sigma2 == pytest.approx(exact, rel=1e-12, abs=0.0)
+        as_vectors = [SimpleNamespace(mu=[g.mu], Sigma=[[g.sigma2]], H=[[g.h]]) for g in (g1, g2)]
+        sigma = grfv_fusion_by_kalman_update(*as_vectors)[1]
+        assert sigma[0, 0] == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_pair_precision_on_the_whole_float_range(self):
         scales = [5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-170, 1e-8, 0.7, 1.0, 3.0,

@@ -2,10 +2,10 @@
 scipy nowhere.
 
 A scalar ``erfs`` call (a GRFN, GFN or triangular document, no array)
-imports neither numpy nor scipy nor ``concurrent.futures``; array queries
-load numpy but no scipy module, and no module of the package imports
-scipy.  Each test runs a fresh interpreter, since this test process has
-long imported all of them through other tests.
+imports neither numpy nor scipy nor ``concurrent.futures`` nor
+``dataclasses``; array queries load numpy but no scipy module, and no
+module of the package imports scipy.  Each test runs a fresh interpreter,
+since this test process has long imported all of them through other tests.
 """
 
 import ast
@@ -26,7 +26,8 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(erfs.__file__)))
 REPORT = r"""
 import json, sys
 result = globals().get("result", {})
-result["loaded"] = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")
+result["loaded"] = sorted(m for m in sys.modules
+                          if m.split(".")[0] in ("numpy", "scipy", "dataclasses")
                           or m.startswith("concurrent.futures"))
 result["scipy"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 print(json.dumps(result))
@@ -101,7 +102,7 @@ def test_import_erfs_loads_no_numpy_scipy_or_futures():
 
 
 def test_scalar_cli_calls_never_import_scipy():
-    # nor numpy, nor concurrent.futures
+    # nor numpy, nor concurrent.futures, nor dataclasses
     out = _run(CLI_SCALAR_CALLS)
     assert out["codes"] == [0] * 7
     assert out["loaded"] == []
@@ -163,7 +164,7 @@ def test_vector_models_never_import_scipy_linalg():
 
 
 # the scalar layer: these modules must run on ``math`` alone
-SCALAR_MODULES = ("fuzzy.py", "grfn.py", "interval.py", "errors.py")
+SCALAR_MODULES = ("fuzzy.py", "grfn.py", "interval.py", "errors.py", "_value.py")
 
 
 def _array_dependencies(tree: ast.AST) -> list[str]:
@@ -198,6 +199,14 @@ def _parse(module: str) -> ast.AST:
 @pytest.mark.parametrize("module", SCALAR_MODULES)
 def test_scalar_modules_never_reach_for_numpy(module):
     assert _array_dependencies(_parse(module)) == []
+
+
+@pytest.mark.parametrize("module", SCALAR_MODULES + ("_normal.py", "cli.py", "__init__.py"))
+def test_scalar_path_never_imports_dataclasses_or_typing(module):
+    # ``import dataclasses`` costs a scalar call more than its answer does; a ``.pth``
+    # hook run by ``site`` may load ``typing`` first, so the source is checked for it
+    found = _dependencies(_parse(module), lambda n: n.split(".")[0] in ("dataclasses", "typing"))
+    assert found == []
 
 
 def _from_fuzzy(name: str) -> bool:
