@@ -1,14 +1,17 @@
-"""The immutable base of the scalar value types: ``GRFN`` and ``GFN``,
-``TriangularGaussian``, ``Interval``, ``GrfnFusion`` and ``ProductResult``.
+"""The immutable base of the value types, and the document protocol of the models.
 
-``import erfs`` and every scalar CLI call load them.  As frozen dataclasses
-they cost ``import dataclasses`` (with ``inspect``, ``ast``, ``dis`` and
-``tokenize``, about 10 ms under ``python -X importtime``) plus about 1 ms a
-class, more than a scalar answer takes.  ``grfv``, ``inference`` and
-``randomset`` keep ``@dataclass``: each imports numpy, which costs more than
-``dataclasses`` does, and callers use ``dataclasses.replace`` on
-``randomset.MCConfig``.
+Every model type (``GRFN``, ``GFN``, ``TriangularGaussian``, ``GRFV``, ``GFV``)
+is a :class:`Model`, every other result (``Interval``, ``GrfnFusion``,
+``GrfvFusion``, ``ProductResult``) a :class:`Value`.  As frozen dataclasses they
+would cost the scalar CLI ``import dataclasses`` (with ``inspect`` and ``ast``,
+about 10 ms), more than a scalar answer takes.  ``randomset.MCConfig`` keeps
+``@dataclass`` for callers' ``dataclasses.replace``, as do the Monte-Carlo and
+inference records, which are no documents and whose modules import numpy.
 """
+
+import math
+
+from .errors import DomainError
 
 
 class Value:
@@ -51,3 +54,36 @@ class Value:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self._FIELDS)
+
+
+class Model(Value):
+    """A model type, read from and written to its evidence document, a JSON object
+    of its ``_FIELDS``.  A field is read by ``_read``, which checks its JSON form;
+    the constructor checks the domain."""
+
+    __slots__ = ()
+
+    def to_dict(self) -> dict:
+        """The fields: arrays as nested lists, an infinite value as ``"inf"``."""
+        values = ((f, getattr(self, f)) for f in self._FIELDS)
+        return {f: v.tolist() if hasattr(v, "tolist") else "inf" if math.isinf(v) else v
+                for f, v in values}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        for field in cls._FIELDS:
+            if field not in d:
+                raise DomainError(f"missing field '{field}'")
+        return cls(*(cls._read(field, d[field]) for field in cls._FIELDS))
+
+    @staticmethod
+    def _read(field: str, v) -> float:
+        """A scalar field: a JSON number or ``"inf"``."""
+        if v == "inf":
+            return math.inf
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise DomainError(f"field '{field}' must be a number")
+        try:
+            return float(v)
+        except OverflowError:  # a JSON integer beyond the float range
+            raise DomainError(f"field '{field}' is too large for a float") from None

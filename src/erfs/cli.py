@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Evidence documents are JSON objects whose ``type`` (``gfn``, ``gfv``,
-``grfn``, ``grfv``, ``triangular-gaussian``) names the model that parses
-the remaining fields.  Documents are read from files or stdin (``-``);
-results go to stdout as JSON for point queries and as plain CSV ('.'
-decimal, no locale) for grids.  A document answers a query if and only
+``grfn``, ``grfv``, ``triangular-gaussian``) names the model whose
+constructor's arguments are the other fields: a JSON number or ``"inf"``,
+or a nested array of numbers for a vector model; anything else exits 2.
+Documents are read from files or stdin (``-``); results go to stdout as
+JSON for point queries and as plain CSV ('.' decimal, no locale) for grids.  A document answers a query if and only
 if its model has the method the query names (``contour``, ``cdf_bounds``,
 ``expectation_bounds``, ``bel_pl``); otherwise the call exits 2.  Two
 documents fuse by their common type, the one the other subclasses: two
@@ -20,11 +21,10 @@ must be finite, and a grid has at most ``MAX_GRID_POINTS`` (10^6) points.
 Imports follow the query.  A GFN, GRFN or triangular document answered
 without an array (``cdf --at``, ``belpl``, ``combine``, ``conflict``,
 ``expect``, ``eval``) runs on ``math`` alone and loads neither numpy nor
-``dataclasses`` (the scalar value types are slotted classes on
-``erfs._value.Value``).  numpy is
-loaded by the array queries (``cdf --grid``, ``plotdata``), by vector
-documents (``gfv``, ``grfv``) and by ``mc-check``.  No call loads scipy:
-the normal cdf is ``math.erfc``, on an array too.
+``dataclasses``: every model type is a slotted class on ``erfs._value``.
+numpy is loaded by the array queries (``cdf --grid``, ``plotdata``), by
+vector documents (``gfv``, ``grfv``) and by ``mc-check``.  No call loads
+scipy: the normal cdf is ``math.erfc``, on an array too.
 
 Exit codes: 0 success, 1 fully conflicting evidence, 2 argument or
 validation errors, 3 Monte-Carlo cross-check failure.
@@ -43,9 +43,9 @@ from . import fuzzy
 from .errors import ContradictoryEvidence, ErfsError
 from .interval import Interval
 
-# document ``type`` -> (erfs module, model); each model has ``from_dict`` and
-# ``to_dict``.  A model's module is imported when a document of its type is read,
-# so the vector types load numpy only for vector documents.
+# document ``type`` -> (erfs module, model), an ``erfs._value.Model``.  A model's
+# module is imported when a document of its type is read, so the vector types
+# load numpy only for vector documents.
 _TYPES = {"gfn": ("grfn", "GFN"), "gfv": ("grfv", "GFV"), "grfn": ("grfn", "GRFN"),
           "grfv": ("grfv", "GRFV"), "triangular-gaussian": ("grfn", "TriangularGaussian")}
 _KINDS = {model: kind for kind, (_, model) in _TYPES.items()}
@@ -89,7 +89,7 @@ def load_document(path: str):
             raise ErfsError(f"cannot read document '{path}': {exc}") from exc
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
         raise ErfsError(f"document '{path}' is not valid JSON: {exc}") from exc
     return parse_document(payload)
 

@@ -31,7 +31,7 @@ from collections import namedtuple
 
 from ._normal import (Phi, as_output, at_least, constant, elementwise, exp, log_indicator, maximum,
                       minimum, phi, phi_over, where_nan)
-from ._value import Value
+from ._value import Model, Value
 from .errors import ContradictoryEvidence, DomainError
 from .interval import Interval
 
@@ -60,12 +60,10 @@ class GrfnKind(enum.Enum):
     GENERAL = "general"
 
 
-class GRFN(Value):
+class GRFN(Model):
     __slots__ = ("mu", "sigma2", "h")
 
-    # the document's fields, the last one the precision; the names of mu and h
-    # in error messages
-    _FIELDS = ("mu", "sigma2", "h")
+    # the names of mu and h in error messages
     _NAMES = ("mu", "h")
 
     def __init__(self, mu: float, sigma2: float, h: float):
@@ -171,14 +169,12 @@ class GRFN(Value):
         elif math.isinf(self.h) and self.sigma2 == 0.0:
             # the point mass: its cdf is right-continuous, 1 at the atom
             lower = upper = at_least(y, self.mu)
-        elif math.isinf(self.h):
-            lower = upper = phi_over(y - self.mu, math.sqrt(self.sigma2))
         else:
             sigma = math.sqrt(self.sigma2)
             f0 = phi_over(y - self.mu, sigma)
             s1 = sigma * math.sqrt(self.h * self.sigma2 + 1.0)
             if math.isinf(s1):
-                # h sigma2 overflows, so the contour term is 0 (and y - mu may too)
+                # h sigma2 is inf (h = inf too), so the contour term is 0 (and y - mu may be)
                 lower = upper = f0
             else:
                 ply = self.contour(y)
@@ -196,15 +192,6 @@ class GRFN(Value):
         q = math.pi / (2.0 * self.h)  # inf at a subnormal h, 0 above h = 2^1023
         r = math.sqrt(q) if 0.0 < q < math.inf else math.sqrt(0.5 * math.pi) / math.sqrt(self.h)
         return self.mu - r, self.mu + r
-
-    def to_dict(self) -> dict:
-        values = {field: getattr(self, field) for field in self._FIELDS}
-        return {field: "inf" if math.isinf(v) else v for field, v in values.items()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GRFN":
-        *numbers, precision = cls._FIELDS
-        return cls(*(_require_number(d, f) for f in numbers), _require_extended(d, precision))
 
 
 class GFN(GRFN):
@@ -264,27 +251,7 @@ class GFN(GRFN):
         return Interval(self.mu - r, self.mu + r)
 
 
-def _require_number(d: dict, field: str) -> float:
-    if field not in d:
-        raise DomainError(f"missing field '{field}'")
-    v = d[field]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise DomainError(f"field '{field}' must be a number")
-    return float(v)
-
-
-def _require_extended(d: dict, field: str) -> float:
-    if field not in d:
-        raise DomainError(f"missing field '{field}'")
-    v = d[field]
-    if v == "inf":
-        return math.inf
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise DomainError(f"field '{field}' must be a number or \"inf\"")
-    return float(v)
-
-
-class TriangularGaussian(Value):
+class TriangularGaussian(Model):
     """Triangular fuzzy number of half-width ``a`` whose mode is ``N(mu, sigma^2)``.
 
     The closed forms integrate over the Gaussian mode; ``a = 0`` is the
@@ -348,13 +315,6 @@ class TriangularGaussian(Value):
     def expectation_bounds(self) -> tuple[float, float]:
         """Lower and upper expectations ``mu -+ a/2``."""
         return self.mu - 0.5 * self.a, self.mu + 0.5 * self.a
-
-    def to_dict(self) -> dict:
-        return {"mu": self.mu, "sigma": self.sigma, "a": self.a}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TriangularGaussian":
-        return cls(*(_require_number(d, f) for f in ("mu", "sigma", "a")))
 
 
 def vacuous() -> GRFN:

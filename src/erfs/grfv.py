@@ -24,8 +24,6 @@ vacuous extension fuses with evidence on the missing coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._linalg import (  # noqa: F401 - perfbench's traced run patches SpdFactor and is_pd here
@@ -36,6 +34,7 @@ from ._linalg import (  # noqa: F401 - perfbench's traced run patches SpdFactor 
     parallel_sum,
     schur_complement_keep_leading,
 )
+from ._value import Model, Value
 from .errors import DomainError
 from .grfn import conflict_degree
 
@@ -44,27 +43,22 @@ __all__ = ["GFV", "GRFV", "GrfvFusion", "combine"]
 _DIAG_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class GRFV:
-    mu: np.ndarray
-    Sigma: np.ndarray
-    H: np.ndarray
+class GRFV(Model):
+    __slots__ = ("mu", "Sigma", "H")
 
-    # the document's fields; the names of mu, Sigma and H in error messages,
-    # and the dimension-mismatch message
-    _FIELDS = ("mu", "Sigma", "H")
+    # the names of mu, Sigma and H in error messages, and the dimension-mismatch message
     _NAMES = ("mu", "Sigma", "H", "inconsistent dimensions: mu {p}, Sigma {s}, H {h}")
 
-    def __post_init__(self):
+    def __init__(self, mu, Sigma, H):
         mu_name, sigma_name, h_name, dims = self._NAMES
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
+        mu = np.atleast_1d(np.asarray(mu, dtype=float))
         if mu.ndim != 1 or not np.all(np.isfinite(mu)):
             raise DomainError(f"{mu_name} must be a finite real vector")
         p = mu.shape[0]
         if p == 0:
             raise DomainError(f"{mu_name} must have at least one coordinate")
-        sigma = check_psd(self.Sigma, sigma_name)
-        h = check_psd(self.H, h_name)
+        sigma = check_psd(Sigma, sigma_name)
+        h = check_psd(H, h_name)
         if sigma.shape[0] != p or h.shape[0] != p:
             raise DomainError(dims.format(p=p, s=sigma.shape, h=h.shape))
         object.__setattr__(self, "mu", mu)
@@ -131,21 +125,24 @@ class GRFV:
         """The result of a coordinate operation, of this model type."""
         return GRFV(mu, sigma, h)
 
-    def to_dict(self) -> dict:
-        return {field: getattr(self, field).tolist() for field in self._FIELDS}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GRFV":
-        for field in cls._FIELDS:
-            if field not in d:
-                raise DomainError(f"missing field '{field}'")
-        return cls(*(np.asarray(d[field], dtype=float) for field in cls._FIELDS))
+    @staticmethod
+    def _read(field: str, v) -> np.ndarray:
+        """An array field: numpy stores a bool, string, null, object or integer
+        beyond the float range in an array of another kind."""
+        try:
+            a = np.asarray(v)
+        except ValueError:
+            raise DomainError(f"field '{field}' must be a rectangular array") from None
+        if a.dtype.kind not in "iuf":
+            raise DomainError(f"field '{field}' must be an array of numbers")
+        return a
 
 
 class GFV(GRFV):
     """Gaussian fuzzy vector: ``GRFV(mode, 0, precision)``, whose mode does
     not vary; ``mode`` and ``precision`` are ``mu`` and ``H``."""
 
+    __slots__ = ()
     # Sigma is zeros shaped like the precision, so its checks name the precision
     _FIELDS = ("mode", "precision")
     _NAMES = ("GFV mode", "GFV precision", "GFV precision",
@@ -172,10 +169,12 @@ def _is_diagonal(a: np.ndarray) -> bool:
     return bool(np.max(np.abs(off)) <= _DIAG_RTOL * scale)
 
 
-@dataclass(frozen=True)
-class GrfvFusion:
-    combined: GRFV
-    kappa: float
+class GrfvFusion(Value):
+    __slots__ = ("combined", "kappa")
+
+    def __init__(self, combined: GRFV, kappa: float):
+        object.__setattr__(self, "combined", combined)
+        object.__setattr__(self, "kappa", kappa)
 
 
 def _log_height(h, s, x, y, name: str):

@@ -272,7 +272,11 @@ def grfv_fusion_by_kalman_update(g1, g2, dps=50):
         a1, a2 = hsum_inv * h1, hsum_inv * h2
         mu = a1 * m1 + a2 * m2
         sigma = a1 * c11 * a1.T + a2 * c22 * a2.T + a1 * c12 * a2.T + a2 * c12.T * a1.T
-        log1mk = (mpmath.log(mpmath.det(r)) - mpmath.log(mpmath.det(n))) / 2 - (d.T * ninv * d)[0] / 2
+        # log|N| - log|R| = log|I + L^-1 (Sigma1 + Sigma2) L^-T| (R = L L^T), a sum of
+        # log1p of its eigenvalues: no I + to round away a small Sigma1 + Sigma2
+        linv = mpmath.inverse(mpmath.cholesky(r, tol=0))  # R may be far below 1e-50
+        lam = mpmath.eigsy(linv * (s1 + s2) * linv.T, eigvals_only=True)
+        log1mk = -mpmath.fsum(mpmath.log1p(v) for v in lam) / 2 - (d.T * ninv * d)[0] / 2
 
         def to_array(m):
             return np.array(m.tolist(), dtype=float)

@@ -13,7 +13,7 @@ import pytest
 import erfs
 from erfs import randomset
 from erfs.cli import MAX_GRID_POINTS, main, parse_grid
-from erfs.errors import ErfsError
+from erfs.errors import DomainError, ErfsError
 from erfs.grfn import GRFN
 from erfs.randomset import MCEstimate, triangular_gaussian_cdf_bounds
 
@@ -476,6 +476,63 @@ def test_invalid_gfv_documents_name_gfv_fields(fields, tmp_path, capsys):
 def test_empty_grfv_document_is_a_validation_error(tmp_path, capsys):
     doc = write_doc(tmp_path, "empty.json", {"type": "grfv", "mu": [], "Sigma": [], "H": []})
     assert _run(["eval", doc, "--at", "0"], capsys) == (2, "", "error: mu must have at least one coordinate\n")
+
+
+# JSON values that are no field of any model: an integer beyond the float range,
+# a bool, a string, null, an object, and (in a scalar field) an array
+_MALFORMED = {"huge-integer": "1" + "0" * 400, "true": "true", "string": '"1"', "null": "null",
+              "object": "{}"}
+_MALFORMED_SCALAR = {**_MALFORMED, "array": "[1]"}
+_MALFORMED_ARRAY = {**_MALFORMED, "ragged": "[[1, 2], [3]]", "bools": "[true, false]",
+                    "strings": '["1", "0"]'}
+
+
+def _malformed(kind: str) -> dict:
+    return _MALFORMED_ARRAY if kind in ("gfv", "grfv") else _MALFORMED_SCALAR
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    (kind, field, value)
+    for kind, (payload, _) in sorted(_MATRIX_DOCS.items())
+    for field in payload if field != "type"
+    for value in sorted(_malformed(kind))
+])
+def test_malformed_field_exits_two_naming_it(kind, field, value, tmp_path, capsys):
+    from erfs import grfn, grfv
+
+    payload, at = _MATRIX_DOCS[kind]
+    text = _malformed(kind)[value]
+    fields = [f"{json.dumps(k)}: {text if k == field else json.dumps(v)}" for k, v in payload.items()]
+    p = tmp_path / "bad.json"
+    p.write_text("{" + ", ".join(fields) + "}")
+    code, out, err = _run(["eval", str(p), "--at", at], capsys)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and f"'{field}'" in err
+    model = {"gfn": grfn.GFN, "gfv": grfv.GFV, "grfn": grfn.GRFN, "grfv": grfv.GRFV,
+             "triangular-gaussian": grfn.TriangularGaussian}[kind]
+    with pytest.raises(DomainError, match=f"'{field}'"):
+        model.from_dict(json.loads(p.read_text()))
+
+
+@pytest.mark.parametrize("payload, message", [
+    # "inf" reads as an infinite value wherever a number goes; the constructor owns the domain
+    ({"type": "grfn", "mu": "inf", "sigma2": 1, "h": 1}, "mu must be finite"),
+    ({"type": "gfn", "mode": "inf", "precision": 1}, "GFN mode must be finite"),
+    ({"type": "triangular-gaussian", "mu": 0, "sigma": "inf", "a": 1},
+     "sigma and a must be finite, got sigma=inf, a=1.0"),
+    ({"type": "grfv", "mu": [0, None], "Sigma": [[1]], "H": [[1]]},
+     "field 'mu' must be an array of numbers"),
+])
+def test_document_messages(payload, message, tmp_path, capsys):
+    doc = write_doc(tmp_path, "doc.json", payload)
+    assert _run(["eval", doc, "--at", "0"], capsys) == (2, "", f"error: {message}\n")
+
+
+def test_deeply_nested_document_exits_two(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text('{"type": "grfv", "mu": ' + "[" * 100000 + "]" * 100000 + "}")
+    code, out, err = _run(["eval", str(p), "--at", "0"], capsys)
+    assert (code, out) == (2, "") and err.startswith("error:") and "not valid JSON" in err
 
 
 @pytest.mark.parametrize("command", ["combine", "conflict"])

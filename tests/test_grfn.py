@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import struct
 import warnings
 from types import SimpleNamespace
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from erfs._normal import phi_over
 from erfs.errors import ContradictoryEvidence, DomainError, ErfsError
 from erfs.fuzzy import GFN, possibility_necessity, product
 from erfs.grfn import (
@@ -27,6 +29,7 @@ from erfs.grfn import (
     log_one_minus_kappa,
     vacuous,
 )
+from erfs.grfv import GRFV
 from erfs.interval import Interval
 from oracles import (
     belpl_by_cut_integration,
@@ -213,6 +216,28 @@ class TestCdfBounds:
         expect_upper = np.where(xs <= 0.625, memb, 1.0)
         assert_allclose(lower, expect_lower, atol=1e-14)
         assert_allclose(upper, expect_upper, atol=1e-14)
+
+
+# a random variable GRFN(mu, sigma2, inf): the whole float range, both infinities and NaN
+_RV_MUS = [-1.7e308, -1e8, 0.0, 1.0, 1e16, 1.7e308]
+_RV_VARIANCES = [5e-324, 1e-300, 1e-8, 0.5, 1.0, 4.0, 1e8, 1e300, 1.7e308]
+_RV_POINTS = [-math.inf, -1.7e308, -1e300, -1e8, -1.0, 0.0, 0.5, 1.0, 1e16, 1.7e308, math.inf,
+              math.nan]
+
+
+@pytest.mark.parametrize("mu", _RV_MUS)
+def test_random_variable_cdf_is_the_mode_cdf(mu):
+    # the general path answers h = inf: h sigma2 is inf, so the contour term drops
+    for s2 in _RV_VARIANCES:
+        g = GRFN(mu, s2, math.inf)
+        for y in _RV_POINTS:
+            want = struct.pack("<d", phi_over(y - mu, math.sqrt(s2)))
+            assert [struct.pack("<d", v) for v in g.cdf_bounds(y)] == [want, want], (s2, y)
+        ys = np.array(_RV_POINTS)
+        with np.errstate(over="ignore"):
+            want = phi_over(ys - mu, math.sqrt(s2))
+        for bound in g.cdf_bounds(ys):
+            assert bound.tobytes() == want.tobytes(), s2
 
 
 class TestPointMassCdf:
@@ -470,6 +495,15 @@ class TestExtremePrecisions:
         as_vectors = [SimpleNamespace(mu=[g.mu], Sigma=[[g.sigma2]], H=[[g.h]]) for g in (g1, g2)]
         sigma = grfv_fusion_by_kalman_update(*as_vectors)[1]
         assert sigma[0, 0] == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_the_vector_oracle_keeps_a_conflict_below_the_working_precision(self):
+        # 1 - kappa is 1 - 5e-171: log|N| - log|R| is a sum of log1p, not a difference of logs
+        g = GRFN(1.0, 1.0, 1e-170)
+        want = float(grfn_fusion_by_kalman_update(g, g)[3])
+        assert want == pytest.approx(-5e-171, rel=1e-12)
+        assert log_one_minus_kappa(g, g) == pytest.approx(want, rel=1e-12)
+        v = GRFV([1.0], [[1.0]], [[1e-170]])
+        assert grfv_fusion_by_kalman_update(v, v)[3] == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_pair_precision_on_the_whole_float_range(self):
         scales = [5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-170, 1e-8, 0.7, 1.0, 3.0,

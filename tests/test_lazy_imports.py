@@ -4,7 +4,8 @@ scipy nowhere.
 A scalar ``erfs`` call (a GRFN, GFN or triangular document, no array)
 imports neither numpy nor scipy nor ``concurrent.futures`` nor
 ``dataclasses``; array queries load numpy but no scipy module, and no
-module of the package imports scipy.  Each test runs a fresh interpreter,
+module of the package imports scipy; the vector models import no
+``dataclasses`` either.  Each test runs a fresh interpreter,
 since this test process has long imported all of them through other tests.
 """
 
@@ -206,6 +207,12 @@ def test_scalar_path_never_imports_dataclasses_or_typing(module):
     # ``import dataclasses`` costs a scalar call more than its answer does; a ``.pth``
     # hook run by ``site`` may load ``typing`` first, so the source is checked for it
     found = _dependencies(_parse(module), lambda n: n.split(".")[0] in ("dataclasses", "typing"))
+    assert found == []
+
+
+def test_vector_models_never_import_dataclasses():
+    # GRFV, GFV and GrfvFusion are slotted classes on erfs._value, as the scalar types are
+    found = _dependencies(_parse("grfv.py"), lambda n: n.split(".")[0] == "dataclasses")
     assert found == []
 
 

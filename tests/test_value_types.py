@@ -1,11 +1,12 @@
-"""The scalar value types behave as the frozen dataclasses they replace.
+"""The value types behave as the frozen dataclasses they replace.
 
 Each of ``GRFN``, ``GFN``, ``TriangularGaussian``, ``Interval``,
 ``GrfnFusion``, ``ProductResult`` and ``LemmaIntermediates`` is built by
 keyword, compares equal only to an equal object of its own class, hashes
 by value, prints its fields in the dataclass ``repr``, matches its fields
 by position, refuses assignment, and survives ``copy``, ``deepcopy`` and
-``pickle``.
+``pickle``.  ``GRFV``, ``GFV`` and ``GrfvFusion`` do the same, except
+that, holding arrays, they do not hash.
 """
 
 import copy
@@ -16,6 +17,7 @@ import pytest
 
 from erfs import GFN, GRFN, GrfnFusion, Interval, ProductResult
 from erfs.grfn import LemmaIntermediates, TriangularGaussian
+from erfs.grfv import GFV, GRFV, GrfvFusion
 
 INTER = LemmaIntermediates(0.0, 1.0, 0.5, 0.5, 0.0, 1.5)
 
@@ -120,3 +122,71 @@ def test_classes_never_compare_equal():
     # a GFN is GRFN(mode, 0, precision) by value, but not the same object kind
     assert GFN(0, 1) != GRFN(0, 0, 1) and GRFN(0, 0, 1) != GFN(0, 1)
     assert GRFN(1, 2, 3) != (1.0, 2.0, 3.0) and Interval(0, 1) != (0.0, 1.0)
+
+
+# The vector types: their fields are arrays, so only p = 1 compares (an array's
+# truth value is ambiguous beyond one entry, as in the dataclass), and none hashes.
+VECTOR_CASES = {
+    "grfv": (lambda: GRFV([1], [[2]], [[3]]),
+             lambda: GRFV(mu=[1.0], Sigma=[[2.0]], H=[[3.0]]),
+             "GRFV(mu=array([1.]), Sigma=array([[2.]]), H=array([[3.]]))"),
+    "gfv": (lambda: GFV([1], [[3]]), lambda: GFV(mode=[1.0], precision=[[3.0]]),
+            "GFV(mu=array([1.]), Sigma=array([[0.]]), H=array([[3.]]))"),
+    "fusion": (lambda: GrfvFusion(GRFV([1], [[2]], [[3]]), 0.25),
+               lambda: GrfvFusion(combined=GRFV([1.0], [[2.0]], [[3.0]]), kappa=0.25),
+               "GrfvFusion(combined=GRFV(mu=array([1.]), Sigma=array([[2.]]), "
+               "H=array([[3.]])), kappa=0.25)"),
+}
+
+VECTOR_OTHER = {"grfv": GRFV([1], [[2]], [[4]]), "gfv": GFV([2], [[3]]),
+                "fusion": GrfvFusion(GRFV([1], [[2]], [[3]]), 0.5)}
+
+VECTOR_FIELDS = {"grfv": "mu Sigma H", "gfv": "mu Sigma H", "fusion": "combined kappa"}
+
+
+@pytest.fixture(params=sorted(VECTOR_CASES))
+def vector_case(request):
+    return request.param
+
+
+def test_vector_keyword_build_repr_and_equality(vector_case):
+    positional, keyword, text = VECTOR_CASES[vector_case]
+    value = positional()
+    assert value == keyword() and not value != keyword()
+    assert repr(value) == text
+    assert value != VECTOR_OTHER[vector_case] and not value == VECTOR_OTHER[vector_case]
+
+
+def test_vector_values_do_not_hash(vector_case):
+    with pytest.raises(TypeError):
+        hash(VECTOR_CASES[vector_case][0]())
+
+
+def test_vector_fields_refuse_assignment_and_deletion(vector_case):
+    value = VECTOR_CASES[vector_case][0]()
+    for field in VECTOR_FIELDS[vector_case].split():
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0.0)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert VECTOR_CASES[vector_case][0]() == value
+
+
+def test_vector_positional_patterns_bind_the_fields(vector_case):
+    value = VECTOR_CASES[vector_case][0]()
+    assert type(value).__match_args__ == tuple(VECTOR_FIELDS[vector_case].split())
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda v: pickle.loads(pickle.dumps(v))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_vector_copies_are_equal(vector_case, clone):
+    value = VECTOR_CASES[vector_case][0]()
+    twin = clone(value)
+    assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
+
+
+def test_vector_classes_never_compare_equal():
+    # a GFV is GRFV(mode, 0, precision) by value, but not the same object kind
+    gfv, grfv = GFV([1], [[3]]), GRFV([1], [[0]], [[3]])
+    assert gfv != grfv and grfv != gfv and not gfv == grfv
