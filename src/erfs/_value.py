@@ -78,12 +78,16 @@ class Model(Value):
 
     @staticmethod
     def _read(field: str, v) -> float:
-        """A scalar field: a JSON number or ``"inf"``."""
+        """A scalar field: a finite JSON number or ``"inf"``, the one infinite
+        spelling (JSON's ``1e400``, ``Infinity`` and ``NaN`` are refused)."""
         if v == "inf":
             return math.inf
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise DomainError(f"field '{field}' must be a number")
         try:
-            return float(v)
+            v = float(v)
         except OverflowError:  # a JSON integer beyond the float range
             raise DomainError(f"field '{field}' is too large for a float") from None
+        if not math.isfinite(v):
+            raise DomainError(f"field '{field}' must be a finite number or \"inf\", got {v}")
+        return v

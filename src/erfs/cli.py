@@ -101,7 +101,7 @@ def _inline_document(args):
     for field in ("mode", "precision", "mu", "sigma2", "sigma", "h", "a"):
         v = getattr(args, field, None)
         if v is not None:
-            d[field] = math.inf if v == "inf" else float(v)
+            d[field] = v if v == "inf" else float(v)
     return parse_document(d)
 
 

@@ -35,19 +35,8 @@ from ._value import Model, Value
 from .errors import ContradictoryEvidence, DomainError
 from .interval import Interval
 
-__all__ = [
-    "GFN",
-    "GRFN",
-    "GrfnKind",
-    "GrfnFusion",
-    "LemmaIntermediates",
-    "TriangularGaussian",
-    "combine",
-    "combine_many",
-    "effective_pair_precision",
-    "linear_combination",
-    "vacuous",
-]
+__all__ = ["GFN", "GRFN", "GrfnKind", "GrfnFusion", "LemmaIntermediates", "TriangularGaussian",
+           "combine", "combine_many", "effective_pair_precision", "linear_combination", "vacuous"]
 
 # 1 - kappa below this threshold counts as total conflict
 _CONFLICT_EPS = 1e-15
@@ -254,9 +243,13 @@ class GFN(GRFN):
 class TriangularGaussian(Model):
     """Triangular fuzzy number of half-width ``a`` whose mode is ``N(mu, sigma^2)``.
 
-    The closed forms integrate over the Gaussian mode; ``a = 0`` is the
-    random variable ``N(mu, sigma^2)``.  Requires ``mu`` finite,
-    ``0 < sigma < inf`` and ``0 <= a < inf``.
+    Each realization is unimodal, so at ``z0 = (y - mu) / sigma`` (``y - mu`` first,
+    lest a large ``mu`` round ``a`` away) the queries are sums of ``Phi(z0)`` and the
+    two side masses of :func:`_side_masses`: contour ``= above + below``, lower cdf
+    ``= Phi(z0) - below``, upper cdf ``= Phi(z0) + above``.  So ``upper - lower`` is
+    the contour and ``lower <= Phi(z0) <= upper``.  The masses are a series in ``a /
+    sigma`` below 0.1 and a closed form above; ``a = 0`` is the random variable
+    ``N(mu, sigma^2)``.  Requires ``mu`` finite, ``0 < sigma < inf``, ``0 <= a < inf``.
     """
 
     __slots__ = ("mu", "sigma", "a")
@@ -278,43 +271,50 @@ class TriangularGaussian(Model):
     @elementwise
     def contour(self, x):
         """Pointwise plausibility: the mean realized membership at ``x``."""
-        mu, sigma, a = self.mu, self.sigma, self.a
-        if a == 0.0:
-            return as_output(constant(x, 0.0))
-        d = x - mu
-        z_minus = (d - a) / sigma
-        z0 = d / sigma
-        z_plus = (d + a) / sigma
-        left = (a - d) * (Phi(z0) - Phi(z_minus)) + sigma * (phi(z_minus) - phi(z0))
-        right = (d + a) * (Phi(z_plus) - Phi(z0)) - sigma * (phi(z0) - phi(z_plus))
-        # NaN only from an overflowing x - mu (inf * 0): the limit there is 0
-        return as_output(minimum(maximum(where_nan((left + right) / a, 0.0), 0.0), 1.0))
+        above, below = _side_masses((x - self.mu) / self.sigma, self.a / self.sigma)
+        return as_output(minimum(above + below, 1.0))
 
     @elementwise
     def cdf_bounds(self, y):
         """Lower and upper cdf at ``y`` (elementwise): Bel and Pl of ``(-inf, y]``."""
-        mu, sigma, a = self.mu, self.sigma, self.a
-        d = y - mu
-        z0 = d / sigma
+        z0 = (y - self.mu) / self.sigma
+        above, below = _side_masses(z0, self.a / self.sigma)
         p0 = Phi(z0)
-        if a == 0.0:
-            return (as_output(p0),) * 2
-        z_plus = (d + a) / sigma
-        z_minus = (d - a) / sigma
-        # each bound is Phi at its far end plus two corrections that cancel as a -> 0;
-        # ((d + a) / a) Phi(z+) - (d / a) p0 would cancel two terms of size d / a
-        p_plus, p_minus = Phi(z_plus), Phi(z_minus)
-        upper = p_plus + (d / a) * (p_plus - p0) + (sigma / a) * (phi(z_plus) - phi(z0))
-        lower = p_minus + (d / a) * (p0 - p_minus) + (sigma / a) * (phi(z0) - phi(z_minus))
-        # NaN only where y - mu -+ a, or its ratio to a or sigma, overflows
-        # (inf * 0, inf - inf); both bounds then round to their limit Phi(z0).
-        # The mode's own cdf Phi(z0) lies between them: 0 <= lower <= p0 <= upper <= 1
-        lower = minimum(maximum(where_nan(lower, p0), 0.0), p0)
-        return as_output(lower), as_output(minimum(maximum(where_nan(upper, p0), p0), 1.0))
+        return as_output(maximum(p0 - below, 0.0)), as_output(minimum(p0 + above, 1.0))
 
     def expectation_bounds(self) -> tuple[float, float]:
         """Lower and upper expectations ``mu -+ a/2``."""
         return self.mu - 0.5 * self.a, self.mu + 0.5 * self.a
+
+
+def _side_masses(t, h: float):
+    """``int_0^h (1 - s/h) phi(+-t + s) ds``, elementwise in ``t``: the mean memberships
+    at a point ``t`` sigmas from the mode's mean of the modes above and below it, for
+    ``h = a / sigma``.  Never negative; NaN, from an overflowing ``t`` or ``h``, is 0.
+
+    For ``h < 0.1`` the mass above is ``h phi(t) sum_k (-h)^k He_k(t) / (k + 2)!`` (0 at
+    ``h = 0``), the mass below the same with the odd terms negated, summed until two
+    terms in a row (an odd ``He_k(0)`` is 0) no longer move the smaller.  Otherwise each
+    is ``(t/h + 1) (Phi(t + h) - Phi(t)) + (phi(t + h) - phi(t)) / h``, the difference
+    of ``Phi`` reflected into the left tail where ``t + h/2 > 0``.
+    """
+    if h < 0.1:
+        u_prev, u = 0.0, 0.5 * h * phi(t)
+        even, odd, k = u, 0.0, 0
+        while True:  # two terms a step: u_{k+1} = -h (t u_k + k h u_{k-1} / (k + 2)) / (k + 3)
+            u_prev, u = u, -h * (t * u + k * h / (k + 2) * u_prev) / (k + 3)
+            odd = odd + u
+            u_prev, u = u, -h * (t * u + (k + 1) * h / (k + 3) * u_prev) / (k + 4)
+            even, k = even + u, k + 2
+            moving = abs(u_prev) + abs(u) > 2.0 ** -53 * (even - abs(odd))  # False on NaN
+            if not (moving if moving.__class__ is bool else moving.any()):
+                break
+        sides = even + odd, even - odd
+    else:
+        p = phi(t)
+        sides = [(s / h + 1.0) * (Phi(minimum(-s, s + h)) - Phi(minimum(-s - h, s)))
+                 + (phi(s + h) - p) / h for s in (t, -t)]
+    return [maximum(where_nan(v, 0.0), 0.0) for v in sides]
 
 
 def vacuous() -> GRFN:

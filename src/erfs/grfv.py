@@ -24,6 +24,8 @@ vacuous extension fuses with evidence on the missing coordinates.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from ._linalg import (  # noqa: F401 - perfbench's traced run patches SpdFactor and is_pd here
@@ -128,12 +130,16 @@ class GRFV(Model):
     @staticmethod
     def _read(field: str, v) -> np.ndarray:
         """An array field: numpy stores a bool, string, null, object or integer
-        beyond the float range in an array of another kind."""
+        beyond the float range in an array of another kind, but a bool among
+        numbers as 0 or 1, so the entries' types are checked too."""
         try:
             a = np.asarray(v)
         except ValueError:
             raise DomainError(f"field '{field}' must be a rectangular array") from None
-        if a.dtype.kind not in "iuf":
+        entries = v
+        for _ in range(a.ndim - 1):
+            entries = itertools.chain.from_iterable(entries)
+        if a.dtype.kind not in "iuf" or a.ndim and bool in map(type, entries):
             raise DomainError(f"field '{field}' must be an array of numbers")
         return a
 

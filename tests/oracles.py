@@ -6,6 +6,7 @@ same law (the 2p x 2p pair law, the dense K form), never through the
 closed forms under test.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -64,6 +65,22 @@ def triangular_cdf_by_cut_integration(mu, sigma, a, x):
     return bel, pl
 
 
+@functools.lru_cache(maxsize=None)
+def triangular_side_mass_mp(t, al, dps=50):
+    """``int_0^al (1 - s/al) phi(t + s) ds`` at ``dps`` digits (mpmath): the mean
+    membership at a point ``t`` sigmas from the mode's mean of the modes above it,
+    for ``al = a / sigma``.  The quadrature runs over ``s = al u`` with the
+    integrand divided by its largest value, since mpmath's tolerance is absolute
+    and the mass may be far below 1e-50 (about 1e-300 at ``t = 37``).  Cached: a
+    symmetric lattice asks for each mass twice."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        t, al = mpmath.mpf(t), mpmath.mpf(al)
+        peak = mpmath.npdf(t + min(max(-t, 0), al))
+        return al * peak * mpmath.quad(lambda u: (1 - u) * mpmath.npdf(t + al * u) / peak, [0, 1])
+
+
 def triangular_cdf_bounds_mp(mu, sigma, a, y, dps=50):
     """Lower and upper cdf of the triangular random fuzzy number at ``y``, at
     ``dps`` digits (mpmath): ``Phi(z0) -+ int_0^al (1 - s/al) phi(z0 -+ s) ds``
@@ -76,12 +93,21 @@ def triangular_cdf_bounds_mp(mu, sigma, a, y, dps=50):
     with mpmath.workdps(dps):
         mu, sigma, a, y = (mpmath.mpf(v) for v in (mu, sigma, a, y))
         z0, al = (y - mu) / sigma, a / sigma
-
-        def side(sign):
-            return mpmath.quad(lambda s: (1 - s / al) * mpmath.npdf(z0 + sign * s), [0, al])
-
         p0 = mpmath.ncdf(z0)
-        return float(p0 - side(-1)), float(p0 + side(1))
+        return (float(p0 - triangular_side_mass_mp(-z0, al, dps)),
+                float(p0 + triangular_side_mass_mp(z0, al, dps)))
+
+
+def triangular_contour_mp(mu, sigma, a, x, dps=50):
+    """Contour of the triangular random fuzzy number at ``x``, at ``dps`` digits
+    (mpmath): the mean membership at ``x`` of the modes above it plus that of
+    the modes below it, two side integrals."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        mu, sigma, a, x = (mpmath.mpf(v) for v in (mu, sigma, a, x))
+        z0, al = (x - mu) / sigma, a / sigma
+        return float(triangular_side_mass_mp(z0, al, dps) + triangular_side_mass_mp(-z0, al, dps))
 
 
 def triangular_contour_by_mode_integration(mu, sigma, a, x):

@@ -479,12 +479,14 @@ def test_empty_grfv_document_is_a_validation_error(tmp_path, capsys):
 
 
 # JSON values that are no field of any model: an integer beyond the float range,
-# a bool, a string, null, an object, and (in a scalar field) an array
+# a bool, a string, null, an object; in a scalar field an array and the non-finite
+# literals ("inf" is the one infinite spelling); in an array field a bool among numbers
 _MALFORMED = {"huge-integer": "1" + "0" * 400, "true": "true", "string": '"1"', "null": "null",
               "object": "{}"}
-_MALFORMED_SCALAR = {**_MALFORMED, "array": "[1]"}
+_MALFORMED_SCALAR = {**_MALFORMED, "array": "[1]", "huge-float": "1e400", "Infinity": "Infinity",
+                     "-Infinity": "-Infinity", "NaN": "NaN"}
 _MALFORMED_ARRAY = {**_MALFORMED, "ragged": "[[1, 2], [3]]", "bools": "[true, false]",
-                    "strings": '["1", "0"]'}
+                    "strings": '["1", "0"]', "bool-among-numbers": "[1, true]"}
 
 
 def _malformed(kind: str) -> dict:

@@ -9,12 +9,12 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from erfs._normal import phi_over
+from erfs._normal import Phi, phi_over
 from erfs.errors import ContradictoryEvidence, DomainError, ErfsError
 from erfs.fuzzy import GFN, possibility_necessity, product
 from erfs.grfn import (
@@ -41,6 +41,7 @@ from oracles import (
     pair_precision_mp,
     random_grfn_params,
     triangular_cdf_bounds_mp,
+    triangular_contour_mp,
 )
 
 mus = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -632,6 +633,12 @@ class TestJson:
         with pytest.raises(DomainError, match="sigma2"):
             GRFN.from_dict({"mu": 0.0, "h": 1.0})
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_float_is_refused(self, value):
+        # "inf" is the one infinite spelling; a float inf comes from JSON's 1e400 or Infinity
+        with pytest.raises(DomainError, match="field 'h' must be a finite number or \"inf\""):
+            GRFN.from_dict({"mu": 0.0, "sigma2": 1.0, "h": value})
+
 
 # parameter extremes: h in {0, tiny, huge, inf}, sigma2 in {0, tiny, huge}
 extreme_h = st.sampled_from([0.0, 5e-324, 1e-300, 1e-3, 1.0, 1e300, 1e308, math.inf])
@@ -862,3 +869,49 @@ class TestTriangularWhenTheOffsetOverflows:
         for i, x in enumerate(xs):
             assert t.contour(float(x)) == pytest.approx(t.contour(xs)[i], abs=1e-15)
             assert t.cdf_bounds(float(x)) == pytest.approx((lower[i], upper[i]), abs=1e-15)
+
+
+# a/sigma on both sides of the series' switch at 0.1; z0 in the body and the tails
+_SIDE_RATIOS = (1e-16, 1e-12, 1e-8, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.3, 1.0, 3.0)
+_BODY = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0)
+_TAILS = (20.0, 30.0, 37.0)
+
+
+class TestTriangularSideMasses:
+    """The contour and both cdf bounds are ``Phi(z0)`` and two side masses."""
+
+    @pytest.mark.parametrize("ratio", _SIDE_RATIOS)
+    def test_against_50_digit_side_integrals(self, ratio):
+        # in the tails the rounding of Phi's and phi's arguments (about z0^2 eps), times the
+        # side masses' cancellation, leaves up to 1.1e-10
+        t = TriangularGaussian(0.0, 1.0, ratio)
+        for zs, rel in ((_BODY, 2e-11), (_TAILS, 1e-9)):
+            zs = np.array([s * z for z in zs for s in (1.0, -1.0)])
+            want = np.array([[triangular_contour_mp(0.0, 1.0, ratio, z),
+                              *triangular_cdf_bounds_mp(0.0, 1.0, ratio, z)] for z in zs])
+            for got in (np.array([[t.contour(z), *t.cdf_bounds(z)] for z in zs.tolist()]),
+                        np.column_stack([t.contour(zs), *t.cdf_bounds(zs)])):
+                assert_allclose(got, want, rtol=rel, atol=1e-300)
+
+    def test_small_ratios_do_not_cancel(self):
+        # a/sigma 1e-12 and 1e-16 once gave 8.3e-5 and 0.555 for contours near 1e-13 and 1e-17
+        assert TriangularGaussian(0.0, 1.0, 1e-12).contour(1.0) == pytest.approx(2.4197e-13, rel=1e-4)
+        wide = TriangularGaussian(-1e8, 1e8, 1e-8)
+        assert wide.contour(-8.0) == 2.4197074387680132e-17
+        assert wide.cdf_bounds(0.0) == (0.8413447460685429, 0.8413447460685429)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-2 ** 20, 2 ** 20), st.integers(0, 2 ** 16),
+           st.sampled_from([0.25, 0.7, 1.0, 3.0]),
+           st.sampled_from([0.0, 1e-16, 1e-8, 1e-3, 0.05, 0.0999, 0.1, 0.3, 1.0, 3.0, 50.0]))
+    @example(0, 12 * 1024, 1.0, 1.0)
+    def test_laws(self, mu_units, d_units, sigma, ratio):
+        # mu -+ d are multiples of 2^-10 below 2^11: exact, so x - mu is -+d exactly
+        mu, d = mu_units / 1024.0, d_units / 1024.0
+        t = TriangularGaussian(mu, sigma, ratio * sigma)
+        contour = t.contour(mu + d)
+        assert contour == t.contour(mu - d)
+        lower, upper = t.cdf_bounds(mu + d)
+        p0 = Phi(d / sigma)
+        assert 0.0 <= lower <= p0 <= upper <= 1.0
+        assert abs((upper - lower) - contour) <= 4 * 2.0 ** -52 * upper
