@@ -1,12 +1,13 @@
 """The immutable base of the value types, and the document protocol of the models.
 
 Every model type (``GRFN``, ``GFN``, ``TriangularGaussian``, ``GRFV``, ``GFV``)
-is a :class:`Model`, every other result (``Interval``, ``GrfnFusion``,
-``GrfvFusion``, ``ProductResult``) a :class:`Value`.  As frozen dataclasses they
+is a :class:`Model`, and every other record a :class:`Value`: the results
+(``Interval``, ``GrfnFusion``, ``GrfvFusion``, ``ProductResult``), the
+Monte-Carlo records (``MCEstimate``, ``SoftConditioningSample``) and the
+inference records (``Sample``, ``LogLikelihood``).  As frozen dataclasses they
 would cost the scalar CLI ``import dataclasses`` (with ``inspect`` and ``ast``,
-about 10 ms), more than a scalar answer takes.  ``randomset.MCConfig`` keeps
-``@dataclass`` for callers' ``dataclasses.replace``, as do the Monte-Carlo and
-inference records, which are no documents and whose modules import numpy.
+about 10 ms), more than a scalar answer takes.  ``randomset.MCConfig`` stays a
+frozen dataclass, for the benchmark's ``dataclasses.replace`` of it.
 """
 
 import math
@@ -18,7 +19,8 @@ class Value:
     """What ``@dataclass(frozen=True)`` gave: equality within one class, a hash
     and ``repr`` of the fields, ``AttributeError`` on assignment, and copies and
     pickles rebuilt through the constructor.  A subclass's ``__init__`` checks
-    its arguments and sets each slot with ``object.__setattr__``."""
+    its arguments and sets each slot with ``object.__setattr__``.  An array
+    field compares by its shape and entries and makes the value unhashable."""
 
     __slots__ = ()
     # every slot down the class chain; the constructor's arguments, each an
@@ -32,7 +34,9 @@ class Value:
         cls.__match_args__ = cls._SLOTS
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._SLOTS)
+        # an array as (shape, nested lists): numpy's == compares elementwise
+        return tuple((v.shape, v.tolist()) if hasattr(v, "shape") else v
+                     for v in map(self.__getattribute__, self._SLOTS))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -17,11 +17,12 @@ the module's one Gaussian height, also its contour's, formed in log-space,
 so widely separated modes give tiny-but-exact heights.
 
 A model answers a query through its own method of that name, the
-protocol the CLI dispatches by: a GFN's belief and plausibility are its
-necessity and possibility, ``GFN.bel_pl``, rays included, and
-:func:`possibility_necessity` is the ``(possibility, necessity)`` view of
-it.  GFN queries run on ``math`` alone; :mod:`erfs.grfv` is imported only
-when a ``GFV`` is asked for.
+protocol the CLI dispatches by, and a GFN answers every query through
+GRFN's: its belief and plausibility are its necessity and possibility,
+:meth:`GRFN.bel_pl <erfs.grfn.GRFN.bel_pl>` at ``sigma2 = 0``, rays
+included, and :func:`possibility_necessity` is the ``(possibility,
+necessity)`` view of it.  GFN queries run on ``math`` alone;
+:mod:`erfs.grfv` is imported only when a ``GFV`` is asked for.
 """
 
 from __future__ import annotations

@@ -98,54 +98,59 @@ class GRFN(Model):
         return math.exp(v) if isinstance(x, float) else as_output(exp(v))
 
     def bel_pl(self, b: Interval) -> tuple[float, float]:
-        """Degrees of belief and plausibility of a bounded interval.
+        """Degrees of belief and plausibility of an interval: bounded, a ray or the line.
 
-        Requires finite endpoints; use :meth:`cdf_bounds` for rays.  Both
-        formulas come from conditioning the Gaussian mode on which side of
-        the query endpoints it falls: conditional on the mode, the
-        endpoint membership averages to the contour value times a Gaussian
-        cdf whose mean is shrunk toward the anchoring endpoint,
+        The whole line has both 1; a vacuous number has (0, 1) on any other set of reals
+        (``[inf, inf]`` holds none).  A number whose mode does not vary (``sigma2 = 0``: a
+        GFN, the point mass) answers its necessity and possibility.  A ray ``(-inf, y]``
+        has the cdf bounds at ``y``, and ``[x, inf)`` those of the mirror image
+        ``GRFN(-mu, sigma2, h)`` at ``-x``.  On a bounded ``[x, y]``, conditioning the
+        Gaussian mode on which side of the endpoints it falls averages the endpoint
+        membership to the contour value times a Gaussian cdf whose mean is shrunk toward
+        the anchoring endpoint,
 
             m0(t) = (t h sigma2 + mu) / (h sigma2 + 1),
-            s0    = sigma / sqrt(1 + h sigma2).
+            s0    = sigma / sqrt(1 + h sigma2),
 
-        The zero-variance (possibilistic) case is covered by the same
-        expressions through the step-function limit of the normal cdf.
+        and the plausibility is the upper cdf at ``y`` less the lower cdf at ``x``.
         """
-        if not b.is_bounded:
-            raise DomainError("bel_pl requires finite endpoints; use cdf_bounds for rays")
         x, y = b.lo, b.hi
         if self.h == 0.0:
-            return 0.0, 1.0
+            # total ignorance: only the whole line is believed, any set of reals is plausible
+            return float(x == -math.inf and y == math.inf), float(x < math.inf and y > -math.inf)
+        m = self.mu
+        if self.sigma2 == 0.0:
+            if math.isinf(self.h):
+                # sup over the open complement of a point indicator excludes b's boundary
+                return (float(x <= m <= y),) * 2
+            # the membership falls away from the mode: its sup over a set that misses the
+            # mode is its value at the nearer end, 0 at infinity
+            if x <= m <= y:
+                # the complement's rays (-inf, x] and [y, inf) hold the mode at most at an end
+                return 1.0 - max(self.contour(x), self.contour(y)), 1.0
+            # the ray of the complement on the mode's side holds it: necessity 0
+            return 0.0, self.contour(x if m < x else y)
+        if x == -math.inf:
+            return self.cdf_bounds(y)
+        if y == math.inf:
+            return GRFN(-m, self.sigma2, self.h).cdf_bounds(-x)
         sigma = math.sqrt(self.sigma2)
-        if math.isinf(self.h):
-            if self.sigma2 == 0.0:
-                ind = float(x <= self.mu <= y)
-                return ind, ind
-            z = float(Phi((y - self.mu) / sigma) - Phi((x - self.mu) / sigma))
-            return z, z
-        plx = self.contour(x)
-        ply = self.contour(y)
-        # s0^2 and the shrinkage weight h s0^2 in ratio form, so that an
-        # overflowing h sigma2 gives the limits s0 -> 1/sqrt(h), m0 -> anchor;
-        # a sigma2 so small that 1/sigma2 overflows has h sigma2 < 1 instead
-        inv_s2 = 1.0 / self.sigma2 if self.sigma2 > 0.0 else math.inf
-        if inv_s2 < math.inf:
-            v0 = 1.0 / (inv_s2 + self.h)
-        else:
-            v0 = self.sigma2 / (1.0 + self.h * self.sigma2)
-        w = self.h * v0
-        s0 = math.sqrt(v0)
-        mid = 0.5 * x + 0.5 * y
-        # m0 at the anchors x and y; w = 0 shifts nothing, even where the
-        # offset overflows (inf * 0); Phi((t - m0) / s0) is the unit step at s0 = 0
-        mx = self.mu + (x - self.mu) * w if w else self.mu
-        my = self.mu + (y - self.mu) * w if w else self.mu
-        ix, iy = phi_over(x - mx, s0), phi_over(y - my, s0)
-
-        band = phi_over(y - self.mu, sigma) - phi_over(x - self.mu, sigma)
-        bel = band - plx * (phi_over(mid - mx, s0) - ix) - ply * (iy - phi_over(mid - my, s0))
-        pl = band + plx * ix + ply * (1.0 - iy)
+        dx, dy = x - m, y - m
+        band = phi_over(dy, sigma) - phi_over(dx, sigma)
+        hs = self.h * self.sigma2
+        s1 = sigma * math.sqrt(hs + 1.0)
+        if math.isinf(s1):
+            # h sigma2 is inf (h = inf among them): the contour terms are 0, as in cdf_bounds
+            return band, band
+        plx, ply = self.contour(x), self.contour(y)
+        # t - m0(t) = (t - mu) q, q = 1 / (1 + h sigma2), so Phi((t - m0(t)) / s0) is the cdf
+        # bounds' Phi((t - mu) / s1); each offset comes from t - mu, lest a large mu round it
+        fx, fy = phi_over(dx, s1), phi_over(dy, s1)
+        q = 1.0 / (1.0 + hs)
+        s0 = sigma * math.sqrt(q)
+        r = 0.5 * y - 0.5 * x
+        bel = band - plx * (phi_over(dx * q + r, s0) - fx) - ply * (fy - phi_over(dy * q - r, s0))
+        pl = band + plx * fx + ply * (1.0 - fy)
         pl = min(max(pl, 0.0), 1.0)
         bel = min(max(bel, 0.0), pl)
         return bel, pl
@@ -189,7 +194,8 @@ class GFN(GRFN):
 
     The membership ``exp(-h/2 (x - m)^2)`` is the contour.  ``h = 0`` is
     the maximally imprecise whole line (GRFN's canonical vacuous form, mode
-    0), ``h = +inf`` the crisp point ``{m}``.
+    0), ``h = +inf`` the crisp point ``{m}``.  Every query is GRFN's method:
+    ``bel_pl`` gives the necessity and possibility, rays included.
     """
 
     __slots__ = ()
@@ -202,26 +208,6 @@ class GFN(GRFN):
     mode = property(lambda self: self.mu)
     precision = property(lambda self: self.h)
     membership = GRFN.contour
-
-    def bel_pl(self, b: Interval) -> tuple[float, float]:
-        """Necessity and possibility of ``b``, rays included: the belief and plausibility
-        of a number whose mode does not vary (:meth:`GRFN.bel_pl` at ``sigma2 = 0``)."""
-        m = self.mu
-        if math.isinf(self.h):
-            # sup over the open complement of a point indicator excludes b's boundary
-            return (float(b.contains(m)),) * 2
-
-        def at(x: float) -> float:
-            # the membership falls away from the mode: its sup over a set that misses
-            # the mode is its value at the nearer endpoint (0 at infinity)
-            return self.contour(x) if math.isfinite(x) else 0.0
-
-        lo, hi = b.lo, b.hi
-        if lo <= m <= hi:
-            # the complement's rays (-inf, lo] and [hi, inf) hold the mode at most at an end
-            return 1.0 - max(at(lo), at(hi)), 1.0
-        # the ray of the complement on the mode's side holds it: necessity 0
-        return 0.0, at(lo if m < lo else hi)
 
     def alpha_cut(self, alpha: float) -> Interval:
         """The closed set of points with membership at least ``alpha``.

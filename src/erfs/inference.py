@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
-import numpy as np
-
+from ._value import Value
 from .errors import DomainError
 from .grfn import GFN, GRFN
 
@@ -33,14 +31,13 @@ __all__ = [
 _MAX_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(Value):
     """A nonempty batch of real observations."""
 
-    observations: tuple[float, ...]
+    __slots__ = ("observations",)
 
-    def __post_init__(self):
-        obs = tuple(float(v) for v in self.observations)
+    def __init__(self, observations: tuple[float, ...]):
+        obs = tuple(float(v) for v in observations)
         if not obs:
             raise DomainError("sample must contain at least one observation")
         if not all(math.isfinite(v) for v in obs):
@@ -70,8 +67,7 @@ def load_sample(path: str) -> Sample:
         return Sample.from_text(fh.read())
 
 
-@dataclass(frozen=True)
-class LogLikelihood:
+class LogLikelihood(Value):
     """A log-likelihood evaluator together with its maximizer.
 
     ``evaluator(theta)`` returns ``log L(theta)``; ``theta_hat`` maximizes
@@ -80,18 +76,19 @@ class LogLikelihood:
     maximum by more than 1e-9 invalidates the object.
     """
 
-    evaluator: Callable[[float], float]
-    theta_hat: float
-    max_log_value: float
+    __slots__ = ("evaluator", "theta_hat", "max_log_value")
 
-    def __post_init__(self):
-        if not math.isfinite(self.max_log_value):
+    def __init__(self, evaluator: Callable[[float], float], theta_hat: float, max_log_value: float):
+        if not math.isfinite(max_log_value):
             raise DomainError("the supplied maximum log-likelihood must be finite")
+        object.__setattr__(self, "evaluator", evaluator)
+        object.__setattr__(self, "theta_hat", theta_hat)
+        object.__setattr__(self, "max_log_value", max_log_value)
 
     def probe(self, thetas) -> None:
         """Spot-check maximality on a batch of probe points."""
-        for theta in np.asarray(thetas, dtype=float):
-            if self.evaluator(float(theta)) > self.max_log_value + _MAX_SLACK:
+        for theta in map(float, thetas):
+            if self.evaluator(theta) > self.max_log_value + _MAX_SLACK:
                 raise DomainError(
                     f"log-likelihood at theta={theta} exceeds the supplied maximum"
                 )

@@ -25,10 +25,6 @@ class Interval(Value):
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    @property
-    def is_bounded(self) -> bool:
-        return math.isfinite(self.lo) and math.isfinite(self.hi)
-
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
 

@@ -31,14 +31,15 @@ fuzzy set.
 from __future__ import annotations
 
 import math
+import operator
 import zlib
-from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._normal import Phi
+from ._value import Value
 from .errors import DomainError, PracticalRejection
 from .grfn import GRFN, TriangularGaussian, combine, effective_pair_precision
 from .interval import Interval
@@ -69,12 +70,23 @@ BLOCK_SIZE = 1 << 16
 
 @dataclass(frozen=True)
 class MCConfig:
+    """Seed, sample count and worker count, each an integer (no float or string); a frozen
+    dataclass, as the benchmark's oracle gate copies it with ``dataclasses.replace``."""
+
     seed: int = 42
     samples: int = 1_000_000
     workers: int = 1
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) < 2 ** 64:
+        for name in ("seed", "samples", "workers"):
+            v = getattr(self, name)
+            try:
+                if v.__class__ is bool:
+                    raise TypeError
+                object.__setattr__(self, name, operator.index(v))
+            except TypeError:
+                raise DomainError(f"{name} must be an integer, got {v!r}") from None
+        if not 0 <= self.seed < 2 ** 64:
             raise DomainError("seed must be a 64-bit unsigned integer")
         if self.samples < 1:
             raise DomainError("samples must be >= 1")
@@ -82,11 +94,13 @@ class MCConfig:
             raise DomainError("workers must be >= 1")
 
 
-@dataclass(frozen=True)
-class MCEstimate:
-    value: float
-    stderr: float
-    n: int
+class MCEstimate(Value):
+    __slots__ = ("value", "stderr", "n")
+
+    def __init__(self, value: float, stderr: float, n: int):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "stderr", stderr)
+        object.__setattr__(self, "n", n)
 
     def within(self, reference: float, nsigma: float = 3.0) -> bool:
         """True when ``reference`` lies inside the ``nsigma`` band."""
@@ -159,7 +173,7 @@ def _gaussian_height(h: float, d: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * h * d * d)
 
 
-class FuzzySampler(ABC):
+class FuzzySampler:
     """One realized fuzzy number per sample, as a core, a reach and a falloff.
 
     ``realize`` consumes the per-block stream and returns the cores
@@ -169,9 +183,8 @@ class FuzzySampler(ABC):
     ``[lo - reach, hi + reach]`` is where the membership is at least alpha.
     """
 
-    @abstractmethod
     def realize(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        ...
+        raise NotImplementedError
 
     def reach(self, alphas: np.ndarray):
         return 0.0
@@ -347,8 +360,7 @@ def mc_conflict(s1: FuzzySampler, s2: FuzzySampler, cfg: MCConfig) -> MCEstimate
     return MCEstimate(1.0 - consistency.value, consistency.stderr, consistency.n)
 
 
-@dataclass(frozen=True)
-class SoftConditioningSample:
+class SoftConditioningSample(Value):
     """Weighted sample of a mode pair, weights = pairwise product heights.
 
     Weighted moments estimate the soft-conditioned joint mode law that
@@ -357,9 +369,12 @@ class SoftConditioningSample:
     linearization, with the Fisher approximation for the correlation.
     """
 
-    m1: np.ndarray
-    m2: np.ndarray
-    weights: np.ndarray
+    __slots__ = ("m1", "m2", "weights")
+
+    def __init__(self, m1: np.ndarray, m2: np.ndarray, weights: np.ndarray):
+        object.__setattr__(self, "m1", m1)
+        object.__setattr__(self, "m2", m2)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def n(self) -> int:

@@ -599,10 +599,12 @@ class TestDashValues:
         spaced = _run(["belpl", doc, "--lo", "-inf", "--hi", "0.5"], capsys)
         joined = _run(["belpl", doc, "--lo=-inf", "--hi=0.5"], capsys)
         assert spaced == joined
-        if kind == "gfn":
-            assert spaced[0] == 0 and not _NON_FINITE_TOKEN.search(spaced[1])
-        else:
-            assert spaced[0] == 2 and "use cdf_bounds for rays" in spaced[2]
+        assert spaced[0] == 0 and not _NON_FINITE_TOKEN.search(spaced[1])
+        # (-inf, 0.5] has the cdf bounds at 0.5, for every member of the GRFN family
+        cdf = _run(["cdf", doc, "--at", "0.5"], capsys)
+        assert cdf[0] == 0
+        bounds = _strict_json(cdf[1])
+        assert _strict_json(spaced[1]) == {"bel": bounds["lower"], "pl": bounds["upper"]}
 
     def test_negative_upper_end(self, tmp_path, capsys):
         doc = write_doc(tmp_path, "d.json", _MATRIX_DOCS["gfn"][0])

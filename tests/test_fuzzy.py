@@ -272,16 +272,12 @@ class TestPossibilityNecessity:
            width=st.floats(0.0, 10.0))
     @settings(max_examples=300, deadline=None)
     def test_gfn_bel_pl_is_the_grfn_closed_form(self, mode, h, lo, width):
-        # a GFN owns its bel_pl: on a bounded interval it is GRFN.bel_pl bit for
-        # bit, on a ray (-inf, y] the cdf bounds, on [y, inf) those of the mirror image
+        # a GFN answers through GRFN.bel_pl, chosen by sigma2 = 0 and not by class: a
+        # GRFN(mode, 0, h) gives the same bits, a ray (-inf, y] the cdf bounds and
+        # [y, inf) those of the mirror image
         g = GFN(mode, h)
         b = Interval(lo, lo + width)
-        if 0.5 * b.lo + 0.5 * b.hi == g.mode:
-            # GRFN.bel_pl's unit step is 1/2 at the mode: it averages the two endpoint
-            # memberships, equal but for rounding, where GFN.bel_pl takes the larger
-            assert g.bel_pl(b) == pytest.approx(GRFN.bel_pl(g, b), abs=1e-12)
-        else:
-            assert _bits(g.bel_pl(b)) == _bits(GRFN.bel_pl(g, b))
+        assert _bits(g.bel_pl(b)) == _bits(GRFN(mode, 0.0, h).bel_pl(b))
         assert _bits(possibility_necessity(g, b)) == _bits(g.bel_pl(b)[::-1])
         assert _bits(g.bel_pl(Interval(-math.inf, lo))) == _bits(GRFN(mode, 0.0, h).cdf_bounds(lo))
         assert _bits(g.bel_pl(Interval(lo, math.inf))) == _bits(GRFN(-mode, 0.0, h).cdf_bounds(-lo))

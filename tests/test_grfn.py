@@ -53,6 +53,10 @@ def grfns():
     return st.builds(GRFN, mus, variances, precisions)
 
 
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
 class TestConstructionAndKind:
     def test_vacuous_canonical_form(self):
         g = GRFN(3.0, 7.0, 0.0)
@@ -152,9 +156,43 @@ class TestBelPl:
             pi, n = possibility_necessity(f, b)
             assert g.bel_pl(b) == pytest.approx((n, pi), abs=1e-14)
 
-    def test_rays_rejected(self):
-        with pytest.raises(DomainError):
-            GRFN(0.0, 1.0, 1.0).bel_pl(Interval(-math.inf, 0.0))
+    def test_rays_are_cdf_bounds(self):
+        # (-inf, 0] and, by symmetry, [0, inf) of GRFN(0, 1, 1): 1/2 -+ 1/(2 sqrt 2)
+        g = GRFN(0.0, 1.0, 1.0)
+        expected = (0.5 * (1.0 - 1.0 / math.sqrt(2.0)), 0.5 * (1.0 + 1.0 / math.sqrt(2.0)))
+        for ray in (Interval(-math.inf, 0.0), Interval(0.0, math.inf)):
+            assert g.bel_pl(ray) == pytest.approx(expected, abs=1e-13)
+        assert g.bel_pl(Interval(-math.inf, math.inf)) == (1.0, 1.0)
+        assert vacuous().bel_pl(Interval(-math.inf, math.inf)) == (1.0, 1.0)
+
+    @given(mu=mus, s2=st.one_of(st.sampled_from([0.0, 5e-324]), variances),
+           h=st.one_of(st.sampled_from([0.0, math.inf]), precisions), x=mus,
+           w=st.floats(0.0, 5.0))
+    @example(mu=0.0, s2=5e-324, h=1.0, x=0.0, w=1.0)
+    @settings(max_examples=300, deadline=None)
+    def test_interval_query_law(self, mu, s2, h, x, w):
+        # rays are the cdf bounds (of the mirror image for [x, inf)), the whole line is
+        # certain, sigma2 = 0 is the GFN whatever the class, and a bounded interval's
+        # plausibility is upper(y) - lower(x), neither measure above that of (-inf, y]
+        g, y = GRFN(mu, s2, h), x + w
+        ray = g.bel_pl(Interval(-math.inf, y))
+        assert _bits(ray) == _bits(g.cdf_bounds(y))
+        mirror = GRFN(-g.mu, g.sigma2, g.h).cdf_bounds(-x)
+        assert _bits(g.bel_pl(Interval(x, math.inf))) == _bits(mirror)
+        assert g.bel_pl(Interval(-math.inf, math.inf)) == (1.0, 1.0)
+        bel, pl = g.bel_pl(Interval(x, y))
+        if s2 == 0.0:
+            assert _bits((bel, pl)) == _bits(GFN(mu, h).bel_pl(Interval(x, y)))
+        if 0.0 < h < math.inf:
+            assert abs(pl - (g.cdf_bounds(y)[1] - g.cdf_bounds(x)[0])) <= 1e-15
+            assert bel <= ray[0] + 1e-15 and pl <= ray[1] + 1e-15
+
+    @pytest.mark.parametrize("shift", [1e3, 1e6, -1e9, 1e12])
+    def test_a_large_mode_rounds_no_offset(self, shift):
+        # the endpoints' offsets from mu are exact here, so the answer is the unshifted one
+        b = Interval(shift - 1.0, shift + 0.5)
+        shifted = GRFN(shift, 0.7, 0.3).bel_pl(b)
+        assert shifted == pytest.approx(GRFN(0.0, 0.7, 0.3).bel_pl(Interval(-1.0, 0.5)), abs=1e-15)
 
     @given(g=grfns(), lo=mus, w1=st.floats(0.0, 5.0), w2=st.floats(0.0, 5.0))
     @settings(max_examples=150, deadline=None)

@@ -4,9 +4,10 @@ scipy nowhere.
 A scalar ``erfs`` call (a GRFN, GFN or triangular document, no array)
 imports neither numpy nor scipy nor ``concurrent.futures`` nor
 ``dataclasses``; array queries load numpy but no scipy module, and no
-module of the package imports scipy; the vector models import no
-``dataclasses`` either.  Each test runs a fresh interpreter,
-since this test process has long imported all of them through other tests.
+module of the package imports scipy, nor ``dataclasses`` (but for
+``randomset.MCConfig``), ``typing`` or ``abc``.  Each test runs a fresh
+interpreter, since this test process has long imported all of them
+through other tests.
 """
 
 import ast
@@ -165,7 +166,7 @@ def test_vector_models_never_import_scipy_linalg():
 
 
 # the scalar layer: these modules must run on ``math`` alone
-SCALAR_MODULES = ("fuzzy.py", "grfn.py", "interval.py", "errors.py", "_value.py")
+SCALAR_MODULES = ("fuzzy.py", "grfn.py", "inference.py", "interval.py", "errors.py", "_value.py")
 
 
 def _array_dependencies(tree: ast.AST) -> list[str]:
@@ -210,10 +211,15 @@ def test_scalar_path_never_imports_dataclasses_or_typing(module):
     assert found == []
 
 
-def test_vector_models_never_import_dataclasses():
-    # GRFV, GFV and GrfvFusion are slotted classes on erfs._value, as the scalar types are
-    found = _dependencies(_parse("grfv.py"), lambda n: n.split(".")[0] == "dataclasses")
-    assert found == []
+def test_no_module_imports_dataclasses_typing_or_abc():
+    # every record is a slotted class on erfs._value and every sampler a plain class, but
+    # MCConfig: the benchmark's oracle gate derives a replicate's config by dataclasses.replace
+    modules = sorted(f for f in os.listdir(os.path.join(SRC, "erfs")) if f.endswith(".py"))
+    assert "randomset.py" in modules and "inference.py" in modules
+    heavy = ("dataclasses", "typing", "abc")
+    found = {m: _dependencies(_parse(m), lambda n: n.split(".")[0] in heavy) for m in modules}
+    found["randomset.py"] = [f for f in found["randomset.py"] if ": dataclasses" not in f]
+    assert {m: f for m, f in found.items() if f} == {}
 
 
 def _from_fuzzy(name: str) -> bool:

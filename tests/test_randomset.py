@@ -51,6 +51,15 @@ class TestConfig:
             MCConfig(samples=0)
         with pytest.raises(DomainError):
             MCConfig(workers=0)
+        # an integer only: no float, string or bool stands in for one
+        for field, value in [("seed", 1.5), ("seed", 1.0), ("seed", "7"), ("seed", True),
+                             ("samples", 10.0), ("samples", "10"), ("workers", 2.0),
+                             ("workers", True), ("seed", None)]:
+            with pytest.raises(DomainError):
+                MCConfig(**{field: value})
+        cfg = MCConfig(seed=np.uint64(7), samples=np.int64(10), workers=np.int32(2))
+        assert cfg == MCConfig(7, 10, 2)
+        assert all(type(v) is int for v in (cfg.seed, cfg.samples, cfg.workers))
 
     def test_estimate_serialization(self):
         e = MCEstimate(0.5, 0.01, 100)

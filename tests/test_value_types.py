@@ -5,8 +5,8 @@ Each of ``GRFN``, ``GFN``, ``TriangularGaussian``, ``Interval``,
 keyword, compares equal only to an equal object of its own class, hashes
 by value, prints its fields in the dataclass ``repr``, matches its fields
 by position, refuses assignment, and survives ``copy``, ``deepcopy`` and
-``pickle``.  ``GRFV``, ``GFV`` and ``GrfvFusion`` do the same, except
-that, holding arrays, they do not hash.
+``pickle``.  ``GRFV``, ``GFV`` and ``GrfvFusion`` do the same at every
+dimension, except that, holding arrays, they do not hash.
 """
 
 import copy
@@ -124,8 +124,10 @@ def test_classes_never_compare_equal():
     assert GRFN(1, 2, 3) != (1.0, 2.0, 3.0) and Interval(0, 1) != (0.0, 1.0)
 
 
-# The vector types: their fields are arrays, so only p = 1 compares (an array's
-# truth value is ambiguous beyond one entry, as in the dataclass), and none hashes.
+# The vector types: their array fields compare by shape and entries (numpy's ==
+# compares elementwise, ambiguous as a truth value beyond one entry), and none hashes.
+I2 = [[1.0, 0.0], [0.0, 1.0]]
+
 VECTOR_CASES = {
     "grfv": (lambda: GRFV([1], [[2]], [[3]]),
              lambda: GRFV(mu=[1.0], Sigma=[[2.0]], H=[[3.0]]),
@@ -136,12 +138,25 @@ VECTOR_CASES = {
                lambda: GrfvFusion(combined=GRFV([1.0], [[2.0]], [[3.0]]), kappa=0.25),
                "GrfvFusion(combined=GRFV(mu=array([1.]), Sigma=array([[2.]]), "
                "H=array([[3.]])), kappa=0.25)"),
+    "grfv-p2": (lambda: GRFV([0, 0], I2, I2), lambda: GRFV(mu=[0.0, 0.0], Sigma=I2, H=I2),
+                "GRFV(mu=array([0., 0.]), Sigma=array([[1., 0.],\n       [0., 1.]]), "
+                "H=array([[1., 0.],\n       [0., 1.]]))"),
+    "gfv-p2": (lambda: GFV([1, 0], I2), lambda: GFV(mode=[1.0, 0.0], precision=I2),
+               "GFV(mu=array([1., 0.]), Sigma=array([[0., 0.],\n       [0., 0.]]), "
+               "H=array([[1., 0.],\n       [0., 1.]]))"),
+    "fusion-p2": (lambda: GrfvFusion(GRFV([0, 0], I2, I2), 0.25),
+                  lambda: GrfvFusion(combined=GRFV([0.0, 0.0], I2, I2), kappa=0.25),
+                  "GrfvFusion(combined=GRFV(mu=array([0., 0.]), Sigma=array([[1., 0.],\n"
+                  "       [0., 1.]]), H=array([[1., 0.],\n       [0., 1.]])), kappa=0.25)"),
 }
 
 VECTOR_OTHER = {"grfv": GRFV([1], [[2]], [[4]]), "gfv": GFV([2], [[3]]),
-                "fusion": GrfvFusion(GRFV([1], [[2]], [[3]]), 0.5)}
+                "fusion": GrfvFusion(GRFV([1], [[2]], [[3]]), 0.5),
+                "grfv-p2": GRFV([0, 1], I2, I2), "gfv-p2": GFV([1, 0], [[1.0, 0.0], [0.0, 2.0]]),
+                "fusion-p2": GrfvFusion(GRFV([0, 0], I2, [[1.0, 0.5], [0.5, 1.0]]), 0.25)}
 
-VECTOR_FIELDS = {"grfv": "mu Sigma H", "gfv": "mu Sigma H", "fusion": "combined kappa"}
+VECTOR_FIELDS = {"grfv": "mu Sigma H", "gfv": "mu Sigma H", "fusion": "combined kappa",
+                 "grfv-p2": "mu Sigma H", "gfv-p2": "mu Sigma H", "fusion-p2": "combined kappa"}
 
 
 @pytest.fixture(params=sorted(VECTOR_CASES))
@@ -152,7 +167,7 @@ def vector_case(request):
 def test_vector_keyword_build_repr_and_equality(vector_case):
     positional, keyword, text = VECTOR_CASES[vector_case]
     value = positional()
-    assert value == keyword() and not value != keyword()
+    assert value == keyword() and not value != keyword() and value in [keyword()]
     assert repr(value) == text
     assert value != VECTOR_OTHER[vector_case] and not value == VECTOR_OTHER[vector_case]
 
