@@ -22,7 +22,7 @@ from .errors import (
     SingularBlock,
 )
 from .fuzzy import ProductResult
-from .grfn import GFN, GRFN, GrfnFusion, GrfnKind
+from .grfn import GFN, GRFN, GrfnFusion
 from .interval import Interval, WHOLE_LINE
 
 # lazy name -> the submodule that defines it (``None`` for the submodule itself)
@@ -45,7 +45,6 @@ __all__ = [
     "GRFN",
     "GRFV",
     "GrfnFusion",
-    "GrfnKind",
     "GrfvFusion",
     "Interval",
     "MCConfig",

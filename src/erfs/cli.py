@@ -160,10 +160,8 @@ def _print_json(obj) -> None:
 
 
 def _print_csv(header: str, *columns) -> None:
-    import numpy as np
-
     print(header)
-    for row in zip(*(np.atleast_1d(c) for c in columns)):
+    for row in zip(*columns):
         print(",".join(f"{v:.12g}" for v in row))
 
 
@@ -198,15 +196,13 @@ def _finite(text, flag: str = "--at") -> float:
     return x
 
 
-def _vector(text, dim: int):
-    import numpy as np
-
+def _vector(text, dim: int) -> list[float]:
     try:
-        v = np.array([_finite(p) for p in str(text).split(",")])
+        v = [_finite(p) for p in str(text).split(",")]
     except ValueError as exc:
         raise ErfsError(f"point '{text}' is not a comma-separated vector") from exc
-    if v.shape[0] != dim:
-        raise ErfsError(f"point '{text}' has dim {v.shape[0]}, document has dim {dim}")
+    if len(v) != dim:
+        raise ErfsError(f"point '{text}' has dim {len(v)}, document has dim {dim}")
     return v
 
 
@@ -255,6 +251,8 @@ def _cmd_belpl(args) -> int:
 def _cmd_cdf(args) -> int:
     cdf_bounds = _query(_resolve_document(args), "cdf_bounds")
     if args.grid is not None:
+        if args.at is not None:
+            raise ErfsError("give either --at or --grid, not both")
         xs = parse_grid(args.grid)
         _print_csv("x,lower,upper", xs, *cdf_bounds(xs))
     elif args.at is None:

@@ -25,7 +25,6 @@ mode, answers the same queries in closed form.
 
 from __future__ import annotations
 
-import enum
 import math
 from collections import namedtuple
 
@@ -35,18 +34,11 @@ from ._value import Model, Value
 from .errors import ContradictoryEvidence, DomainError
 from .interval import Interval
 
-__all__ = ["GFN", "GRFN", "GrfnKind", "GrfnFusion", "LemmaIntermediates", "TriangularGaussian",
+__all__ = ["GFN", "GRFN", "GrfnFusion", "LemmaIntermediates", "TriangularGaussian",
            "combine", "combine_many", "effective_pair_precision", "linear_combination", "vacuous"]
 
 # 1 - kappa below this threshold counts as total conflict
 _CONFLICT_EPS = 1e-15
-
-
-class GrfnKind(enum.Enum):
-    VACUOUS = "vacuous"
-    PROBABILISTIC = "probabilistic"
-    POSSIBILISTIC = "possibilistic"
-    GENERAL = "general"
 
 
 class GRFN(Model):
@@ -70,16 +62,6 @@ class GRFN(Model):
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma2", s2)
         object.__setattr__(self, "h", h)
-
-    @property
-    def kind(self) -> GrfnKind:
-        if self.h == 0.0:
-            return GrfnKind.VACUOUS
-        if math.isinf(self.h):
-            return GrfnKind.PROBABILISTIC
-        if self.sigma2 == 0.0:
-            return GrfnKind.POSSIBILISTIC
-        return GrfnKind.GENERAL
 
     @property
     def is_vacuous(self) -> bool:
@@ -159,7 +141,8 @@ class GRFN(Model):
     def cdf_bounds(self, y):
         """Lower and upper cdf at ``y`` (elementwise): Bel and Pl of ``(-inf, y]``."""
         if self.h == 0.0:
-            lower, upper = constant(y, 0.0), constant(y, 1.0)
+            # as bel_pl: the ray to +inf is the whole line, the ray to -inf holds no real point
+            lower, upper = at_least(y, math.inf), 1.0 - at_least(-y, math.inf)
         elif math.isinf(self.h) and self.sigma2 == 0.0:
             # the point mass: its cdf is right-continuous, 1 at the atom
             lower = upper = at_least(y, self.mu)

@@ -53,7 +53,7 @@ class GRFV(Model):
 
     def __init__(self, mu, Sigma, H):
         mu_name, sigma_name, h_name, dims = self._NAMES
-        mu = np.atleast_1d(np.asarray(mu, dtype=float))
+        mu = np.array(mu, dtype=float, ndmin=1)
         if mu.ndim != 1 or not np.all(np.isfinite(mu)):
             raise DomainError(f"{mu_name} must be a finite real vector")
         p = mu.shape[0]
@@ -63,9 +63,10 @@ class GRFV(Model):
         h = check_psd(H, h_name)
         if sigma.shape[0] != p or h.shape[0] != p:
             raise DomainError(dims.format(p=p, s=sigma.shape, h=h.shape))
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "Sigma", sigma)
-        object.__setattr__(self, "H", h)
+        # each array is this object's own copy, so no caller's array is flagged
+        for name, a in (("mu", mu), ("Sigma", sigma), ("H", h)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def dim(self) -> int:
@@ -190,18 +191,18 @@ def _log_height(h, s, x, y, name: str):
 
         -1/2 log|M| - 1/2 q,    q = d^T (h^-1 + s)^-1 d = (d h) M^-T d.
 
-    ``M`` is nonsingular for PSD ``h``, ``s`` (``h s`` has eigenvalues >= 0).
+    ``|M| >= 1`` for PSD ``h``, ``s`` (``h s`` has eigenvalues >= 0).
     The offset is halved, ``e = x/2 - y/2``, exact and finite for finite
     inputs, and ``q = 4 (e h) M^-T e``.  ``log|M|`` and every solve factor
     the same ``M^T``, so a zero LU pivot (``1 + 1e160`` rounds away the 1)
-    shows in ``slogdet``.  It, a non-finite ``M`` and a ``q`` (>= 0 in exact
-    arithmetic) that overflows to NaN or ``-inf`` raise typed errors naming
-    them; a ``q`` of inf is a height of 0.  The caller silences numpy's
-    overflow warnings.
+    shows in ``slogdet``.  It, a determinant that rounds to negative, a
+    non-finite ``M`` and a ``q`` (>= 0 in exact arithmetic) that overflows
+    to NaN or ``-inf`` raise typed errors naming them; a ``q`` of inf is a
+    height of 0.  The caller silences numpy's overflow warnings.
     """
     mt = as_matrix(np.eye(h.shape[0]) + s @ h, name)
     sign, logdet = np.linalg.slogdet(mt)
-    if sign == 0.0:
+    if not sign > 0.0:
         raise DomainError(f"{name} is singular in floating point")
     e = 0.5 * x - 0.5 * y
     if e.ndim == 1:

@@ -11,7 +11,6 @@ provided directly.  Any other model goes through the generic
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Callable
 
@@ -25,7 +24,6 @@ __all__ = [
     "gaussian_mean_likelihood_fuzzy",
     "gaussian_mean_predictive",
     "relative_likelihood_contour",
-    "load_sample",
 ]
 
 _MAX_SLACK = 1e-9
@@ -51,20 +49,6 @@ class Sample(Value):
     @property
     def mean(self) -> float:
         return math.fsum(self.observations) / self.n
-
-    @classmethod
-    def from_text(cls, text: str) -> "Sample":
-        """Parse newline-delimited numbers or a JSON array."""
-        stripped = text.strip()
-        if stripped.startswith("["):
-            return cls(tuple(json.loads(stripped)))
-        values = [float(line) for line in stripped.splitlines() if line.strip()]
-        return cls(tuple(values))
-
-
-def load_sample(path: str) -> Sample:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Sample.from_text(fh.read())
 
 
 class LogLikelihood(Value):

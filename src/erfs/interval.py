@@ -25,9 +25,6 @@ class Interval(Value):
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
     def complement_rays(self) -> list["Interval"]:
         """The closure of the complement, as zero, one or two rays."""
         rays = []

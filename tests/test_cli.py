@@ -320,11 +320,12 @@ class TestValidation:
         (["eval", "{grfv}", "--at", "1,2,3"], None, "point '1,2,3' has dim 3, document has dim 2"),
         (["combine", "{grfn}"], None, "combine needs at least two documents"),
         (["cdf", *_GRFN], None, "missing query point: use --at or --grid"),
+        (["cdf", *_GRFN, "--at", "0", "--grid", "0:1:0.5"], None, "give either --at or --grid, not both"),
         (["plotdata", *_GRFN], None, "missing --grid for plotdata"),
         (["expect"], None, "missing evidence document (file argument or --type ...)"),
     ], ids=["not-an-object", "no-type", "unreadable-path", "env-seed", "at-and-grid", "no-points",
             "vector-point-not-numeric", "vector-point-dim", "combine-one-document", "cdf-no-point",
-            "plotdata-no-grid", "no-document"])
+            "cdf-at-and-grid", "plotdata-no-grid", "no-document"])
     def test_argument_errors_exit_two_with_one_line(self, argv, seed, message, tmp_path,
                                                     capsys, monkeypatch):
         paths = {
@@ -779,12 +780,15 @@ def _far_3d(i, kind):
     ([_grfv_rank_one_4e18([[2, 1], [1, 2]]), {"type": "grfv", "mu": [0, 0], "Sigma": _ZERO_2D,
                                               "H": [[2, 1], [1, 2]]}], ["combine"], 2, ""),
     ([_grfv_rank_one_4e18([[1, 0.5], [0.5, 1]])], ["eval", "--at", "0,0"], 2, ""),
+    # the LU of I + Sigma H gives a negative determinant (exactly >= 1): the contour was 438139
+    ([{"type": "grfv", "mu": [0, 0, 0], "Sigma": [[1e16, 0, -3e16], [0, 0, 0], [-3e16, 0, 9e16]],
+       "H": [[5, -2, 2], [-2, 4, -2], [2, -2, 3]]}], ["eval", "--at=-3,0,-3"], 2, ""),
     *[([_far_3d(0, a), _far_3d(1, b)], [cmd], 2, "")
       for cmd in ("combine", "conflict") for a, b in (("grfv",) * 2, ("gfv",) * 2, ("grfv", "gfv"))],
 ], ids=["tiny-h", "huge-gfn", "pair-precision", "pair-precision-nan", "variance-product",
         "variance-times-precision", "variance-sum", "offset-and-h-sigma2",
         "subnormal-h", "belpl-offset-times-zero-weight", "expect-subnormal-h", "grfv-sigma-1e20",
-        "grfv-zero-pivot-combine", "grfv-zero-pivot-eval",
+        "grfv-zero-pivot-combine", "grfv-zero-pivot-eval", "grfv-negative-determinant-eval",
         *[f"{cmd}-3d-{kinds}" for cmd in ("combine", "conflict")
                          for kinds in ("grfv", "gfv", "mixed")]])
 def test_extreme_magnitudes_answer_or_fail_typed(docs, argv, code, stdout, tmp_path, capsys):

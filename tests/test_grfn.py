@@ -19,7 +19,6 @@ from erfs.errors import ContradictoryEvidence, DomainError, ErfsError
 from erfs.fuzzy import GFN, possibility_necessity, product
 from erfs.grfn import (
     GRFN,
-    GrfnKind,
     TriangularGaussian,
     combine,
     combine_many,
@@ -62,12 +61,6 @@ class TestConstructionAndKind:
         g = GRFN(3.0, 7.0, 0.0)
         assert (g.mu, g.sigma2, g.h) == (0.0, 1.0, 0.0)
         assert g == vacuous()
-
-    def test_kind_priority(self):
-        assert GRFN(1.0, 2.0, 0.0).kind is GrfnKind.VACUOUS
-        assert GRFN(1.0, 0.0, math.inf).kind is GrfnKind.PROBABILISTIC
-        assert GRFN(1.0, 0.0, 2.0).kind is GrfnKind.POSSIBILISTIC
-        assert GRFN(1.0, 2.0, 3.0).kind is GrfnKind.GENERAL
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -169,14 +162,20 @@ class TestBelPl:
            h=st.one_of(st.sampled_from([0.0, math.inf]), precisions), x=mus,
            w=st.floats(0.0, 5.0))
     @example(mu=0.0, s2=5e-324, h=1.0, x=0.0, w=1.0)
+    @example(mu=0.0, s2=1.0, h=0.0, x=0.0, w=1.0)
     @settings(max_examples=300, deadline=None)
     def test_interval_query_law(self, mu, s2, h, x, w):
-        # rays are the cdf bounds (of the mirror image for [x, inf)), the whole line is
-        # certain, sigma2 = 0 is the GFN whatever the class, and a bounded interval's
-        # plausibility is upper(y) - lower(x), neither measure above that of (-inf, y]
+        # rays are the cdf bounds (of the mirror image for [x, inf)), at -inf and +inf too,
+        # on a float and on an array, the whole line is certain, sigma2 = 0 is the GFN
+        # whatever the class, and a bounded interval's plausibility is upper(y) - lower(x),
+        # neither measure above that of (-inf, y]
         g, y = GRFN(mu, s2, h), x + w
         ray = g.bel_pl(Interval(-math.inf, y))
         assert _bits(ray) == _bits(g.cdf_bounds(y))
+        ends = g.cdf_bounds(np.array([-math.inf, math.inf]))
+        for i, end in enumerate((-math.inf, math.inf)):
+            want = _bits(g.bel_pl(Interval(-math.inf, end)))
+            assert want == _bits(g.cdf_bounds(end)) == _bits(v[i] for v in ends)
         mirror = GRFN(-g.mu, g.sigma2, g.h).cdf_bounds(-x)
         assert _bits(g.bel_pl(Interval(x, math.inf))) == _bits(mirror)
         assert g.bel_pl(Interval(-math.inf, math.inf)) == (1.0, 1.0)

@@ -13,7 +13,6 @@ from erfs.inference import (
     Sample,
     gaussian_mean_likelihood_fuzzy,
     gaussian_mean_predictive,
-    load_sample,
     relative_likelihood_contour,
 )
 
@@ -34,19 +33,6 @@ class TestSample:
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
             Sample((1.0, math.nan))
-
-    def test_from_text_lines(self):
-        s = Sample.from_text("1.5\n2.5\n\n3.5\n")
-        assert s.observations == (1.5, 2.5, 3.5)
-
-    def test_from_text_json(self):
-        s = Sample.from_text("[1, 2, 3]")
-        assert s.observations == (1.0, 2.0, 3.0)
-
-    def test_load_from_file(self, tmp_path):
-        p = tmp_path / "obs.txt"
-        p.write_text("0.5\n1.5\n")
-        assert load_sample(str(p)).mean == 1.0
 
 
 class TestGaussianMeanConstructors:

@@ -13,6 +13,7 @@ import copy
 import math
 import pickle
 
+import numpy as np
 import pytest
 
 from erfs import GFN, GRFN, GrfnFusion, Interval, ProductResult
@@ -185,6 +186,19 @@ def test_vector_fields_refuse_assignment_and_deletion(vector_case):
         with pytest.raises(AttributeError):
             delattr(value, field)
     assert VECTOR_CASES[vector_case][0]() == value
+
+
+@pytest.mark.parametrize("build, height", [(lambda m, a: GRFV(m, a, a), 0.5),
+                                           (lambda m, a: GFV(m, a), 1.0)], ids=["grfv", "gfv"])
+def test_vector_models_own_read_only_arrays(build, height):
+    # a later change to the caller's arrays does not reach the model, and they stay writeable
+    m, eye = np.array([0.0, 0.0]), np.eye(2)
+    g = build(m, eye)
+    m[0], eye[0, 0] = 5.0, 9.0
+    assert g.contour([0, 0]) == height and m.flags.writeable and eye.flags.writeable
+    for a in (g.mu, g.Sigma, g.H):
+        with pytest.raises(ValueError):
+            a[0] = 9.0
 
 
 def test_vector_positional_patterns_bind_the_fields(vector_case):
